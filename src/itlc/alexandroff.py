@@ -101,17 +101,12 @@ class FiniteSystem:
         return frozenset(n for i, n in enumerate(self.names) if mask >> i & 1)
 
 
-def system(names, order_pairs, mapping) -> FiniteSystem:
-    """Build a system from named data; closes the order reflexively and
-    transitively, then checks the invariants."""
-    names = tuple(names)
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
+def _order_closure(n: int, pairs) -> tuple[int, ...]:
+    """Down-set masks of the reflexive-transitive closure of the
+    (below, above) index pairs over n elements."""
     down = [1 << i for i in range(n)]
-    for a, b in order_pairs:
-        if a not in index or b not in index:
-            raise SchemaError(f"order: unknown element in ({a!r}, {b!r})")
-        down[index[b]] |= 1 << index[a]
+    for a, b in pairs:
+        down[b] |= 1 << a
     changed = True
     while changed:
         changed = False
@@ -123,6 +118,20 @@ def system(names, order_pairs, mapping) -> FiniteSystem:
             if merged != down[i]:
                 down[i] = merged
                 changed = True
+    return tuple(down)
+
+
+def system(names, order_pairs, mapping) -> FiniteSystem:
+    """Build a system from named data; closes the order reflexively and
+    transitively, then checks the invariants."""
+    names = tuple(names)
+    index = {n: i for i, n in enumerate(names)}
+    pairs = []
+    for a, b in order_pairs:
+        if a not in index or b not in index:
+            raise SchemaError(f"order: unknown element in ({a!r}, {b!r})")
+        pairs.append((index[a], index[b]))
+    down = _order_closure(len(names), pairs)
     f = []
     for name in names:
         if name not in mapping:
@@ -131,7 +140,7 @@ def system(names, order_pairs, mapping) -> FiniteSystem:
         if target not in index:
             raise SchemaError(f"map: unknown image {target!r}")
         f.append(index[target])
-    return FiniteSystem(FinitePoset(names, tuple(down)), tuple(f))
+    return FiniteSystem(FinitePoset(names, down), tuple(f))
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +434,9 @@ def random_system(n: int, seed: int = 0) -> FiniteSystem:
         raise ValueError("need at least one element")
     rng = random.Random(seed)
     names = tuple(_element_names(n))
-    down = [1 << i for i in range(n)]
-    for j in range(n):
-        for i in range(j):
-            if rng.random() < 0.35:
-                down[j] |= 1 << i  # i below j; acyclic since i < j
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            merged = down[i]
-            for j in range(n):
-                if down[i] >> j & 1:
-                    merged |= down[j]
-            if merged != down[i]:
-                down[i] = merged
-                changed = True
-    poset = FinitePoset(names, tuple(down))
+    # i below j only for i < j, so the closure is acyclic
+    pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.35]
+    poset = FinitePoset(names, _order_closure(n, pairs))
     for _ in range(512):
         f = tuple(rng.randrange(n) for _ in range(n))
         if all(not poset.leq(a, b) or poset.leq(f[a], f[b])

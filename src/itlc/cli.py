@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import alexandroff, quasimodel
-from .config import Caps
+from .config import Caps, DEFAULT_CAPS
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
                      ItlcError, ParseError, SchemaError)
 from .formula import eliminate_exists, format_formula, in_diamond_fragment, parse
@@ -34,11 +34,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_caps(p):
-        p.add_argument("--max-moments", type=int, default=50_000)
-        p.add_argument("--max-valuations", type=int, default=2**20)
-        p.add_argument("--max-systems", type=int, default=200_000)
-        p.add_argument("--timeout", type=float, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--max-moments", type=int, default=DEFAULT_CAPS.max_moments)
+        p.add_argument("--max-valuations", type=int, default=DEFAULT_CAPS.max_valuations)
+        p.add_argument("--max-systems", type=int, default=DEFAULT_CAPS.max_systems)
+        p.add_argument("--timeout", type=float, default=DEFAULT_CAPS.timeout)
+        p.add_argument("--jobs", type=int, default=DEFAULT_CAPS.jobs,
+                       help="accepted for compatibility; searches run on one thread")
 
     def add_format(p, choices=("text", "json", "dot")):
         p.add_argument("--format", choices=choices, default="text")
@@ -92,29 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _caps(args) -> Caps:
-    return Caps(max_moments=getattr(args, "max_moments", 50_000),
-                max_valuations=getattr(args, "max_valuations", 2**20),
-                max_systems=getattr(args, "max_systems", 200_000),
-                timeout=getattr(args, "timeout", None),
-                jobs=getattr(args, "jobs", 1))
+    return Caps(max_moments=args.max_moments, max_valuations=args.max_valuations,
+                max_systems=args.max_systems, timeout=args.timeout, jobs=args.jobs)
 
 
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
-
-
-def _quasimodel_json(q: quasimodel.Quasimodel) -> dict:
-    sigma = q.sigma
-    profile = [] if q.profile is None else [i for i in range(len(sigma))
-                                            if q.profile >> i & 1]
-    return {
-        "sigma": [format_formula(f) for f in sigma.formulas],
-        "profile": profile,
-        "worlds": [{"id": i, "moment": m.to_json()} for i, m in enumerate(q.worlds)],
-        "order": [list(p) for p in q.order_pairs()],
-        "s_edges": [list(p) for p in sorted(q.s_edges)],
-        "falsified": [format_formula(f) for f in quasimodel.falsified_members(q)],
-    }
 
 
 def _quasimodel_dot(q: quasimodel.Quasimodel) -> str:
@@ -154,7 +138,10 @@ def _cmd_decide(args) -> int:
                   f"{q.sigma.format_mask(q.worlds[cert.witness].label)}")
             _emit(f"quasimodel: {len(q.worlds)} worlds, {len(q.s_edges)} edges")
         return EXIT_FOUND
-    _emit("RESOURCE LIMIT")
+    if args.format == "json":
+        _emit(json.dumps({"verdict": "RESOURCE_LIMIT", "complete": False}, indent=2))
+    else:
+        _emit("RESOURCE LIMIT")
     return EXIT_RESOURCE
 
 
@@ -225,7 +212,8 @@ def _cmd_extract(args) -> int:
         raise FragmentError("extraction needs a next/eventually/forall formula")
     sigma = subformula_closure(reduced)
     q = quasimodel.extract_quasimodel(X, valuation, sigma, _caps(args))
-    payload = _quasimodel_json(q)
+    payload = q.to_json_dict()
+    payload["falsified"] = [format_formula(f) for f in quasimodel.falsified_members(q)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

@@ -16,13 +16,15 @@ class Caps:
 
     max_moments     accepted irreducible moments before enumeration is cut off
     max_candidates  candidate grafts examined before enumeration is cut off
-                    (defaults to 16x max_moments)
+                    (defaults to 4x max_moments)
     max_height      tallest moment generated; None means the structural bound
                     #Sigma + 1, which never truncates the enumeration
     max_valuations  evaluation budget for exhaustive valuation search
     max_systems     systems examined during countermodel search
     timeout         wall-clock seconds for a single decide/search call
-    jobs            worker threads for independent profile searches
+    jobs            accepted for compatibility and ignored: profiles are
+                    searched in order on one thread, since threads gave
+                    no speed-up under the interpreter lock
     """
 
     max_moments: int = 50_000

@@ -241,7 +241,8 @@ def viable_types(sigma: SigmaContext, profile: int) -> frozenset[int]:
                 continue
             ok = True
             for i, b in sigma.ev_pairs:
-                if m >> i & 1 and not _reachable_realization(sigma, alive, m, b):
+                if m >> i & 1 and not reaches(m, lambda v: alive, sigma.sensible_masks,
+                                              lambda v: v >> b & 1):
                     ok = False
                     break
             if ok:
@@ -257,17 +258,23 @@ def viable_types(sigma: SigmaContext, profile: int) -> frozenset[int]:
     return frozenset(alive)
 
 
-def _reachable_realization(sigma: SigmaContext, alive: set[int], start: int, body: int) -> bool:
+def reaches(start, candidates, edge, goal) -> bool:
+    """Whether breadth-first search from start meets a node satisfying goal.
+
+    candidates(v) lists the nodes that may follow v and edge(v, w) decides
+    whether one does.  edge is asked only about nodes not yet visited, so
+    an expensive test is never spent on a node already reached.
+    """
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for m in frontier:
-            if m >> body & 1:
+        for v in frontier:
+            if goal(v):
                 return True
-            for m2 in alive:
-                if m2 not in seen and sigma.sensible_masks(m, m2):
-                    seen.add(m2)
-                    nxt.append(m2)
+            for w in candidates(v):
+                if w not in seen and edge(v, w):
+                    seen.add(w)
+                    nxt.append(w)
         frontier = nxt
     return False

@@ -388,11 +388,6 @@ class MomentStore:
     complete is True only when the bottom-up generation exhausted every
     candidate within the caps; consumers must not treat an incomplete
     store as the full space.
-
-    Moments are immutable and the memo tables on the shared context map
-    each key to a value that is a pure function of it, so concurrent
-    readers at worst recompute an entry; results never depend on the
-    interleaving.
     """
 
     sigma: SigmaContext
@@ -403,15 +398,6 @@ class MomentStore:
 
     def __len__(self) -> int:
         return len(self.moments)
-
-    def index(self) -> dict[Moment, int]:
-        return {m: i for i, m in enumerate(self.moments)}
-
-    def is_irreducible(self, m: Moment) -> bool:
-        return is_irreducible(m)
-
-    def temporal_successor(self, v: Moment, w: Moment) -> bool:
-        return temporal_successor(v, w)
 
 
 class _CapStop(Exception):

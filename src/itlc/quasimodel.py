@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .config import Caps, DEFAULT_CAPS
@@ -31,7 +31,7 @@ from .errors import (CapExceeded, FragmentError, InvariantViolation,
                      ItlcError, SchemaError)
 from .formula import (Forall, Formula, eliminate_exists, format_formula,
                       in_diamond_fragment, parse)
-from .labels import (SigmaContext, profile_compatible, profile_masks,
+from .labels import (SigmaContext, profile_compatible, profile_masks, reaches,
                      subformula_closure, viable_types)
 from .moments import (Moment, MomentStore, _Generation, below, check_kit,
                       enumerate_irreducibles, moment, temporal_successor)
@@ -65,8 +65,16 @@ class Quasimodel:
     def world_index(self) -> dict[Moment, int]:
         return {m: i for i, m in enumerate(self.worlds)}
 
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        rows: list[list[int]] = [[] for _ in self.worlds]
+        for a, b in sorted(self.s_edges):
+            if 0 <= a < len(rows):  # check_quasimodel reports the others
+                rows[a].append(b)
+        return tuple(map(tuple, rows))
+
     def successors(self, i: int) -> list[int]:
-        return sorted(j for a, j in self.s_edges if a == i)
+        return list(self._adjacency[i])
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """Strict submoment pairs (a, b) with world a below world b."""
@@ -81,6 +89,18 @@ class Quasimodel:
 
     def root_lacks(self, index: int, formula_index: int) -> bool:
         return not self.worlds[index].label >> formula_index & 1
+
+    def to_json_dict(self) -> dict:
+        sigma = self.sigma
+        profile = [] if self.profile is None else [i for i in range(len(sigma))
+                                                   if self.profile >> i & 1]
+        return {
+            "sigma": [format_formula(f) for f in sigma.formulas],
+            "profile": profile,
+            "worlds": [{"id": i, "moment": m.to_json()} for i, m in enumerate(self.worlds)],
+            "order": [list(p) for p in self.order_pairs()],
+            "s_edges": [list(p) for p in sorted(self.s_edges)],
+        }
 
 
 class Lasso(NamedTuple):
@@ -114,7 +134,7 @@ def check_quasimodel(q: Quasimodel) -> Check:
         if not sigma.sensible_masks(q.worlds[a].label, q.worlds[b].label):
             return Check(False, f"edge ({a},{b}) is not sensible")
     for i in range(n):
-        if not any(a == i for a, _ in q.s_edges):
+        if not q.successors(i):
             return Check(False, f"world {i} has no successor")
     for a, b in q.s_edges:
         for sub in q.worlds[a].subtrees():
@@ -125,7 +145,8 @@ def check_quasimodel(q: Quasimodel) -> Check:
     for i in range(n):
         label = q.worlds[i].label
         for fi, fb in sigma.ev_pairs:
-            if label >> fi & 1 and not _realized_from(q, i, fb):
+            if label >> fi & 1 and not reaches(i, q.successors, lambda v, w: True,
+                                               lambda v: q.worlds[v].label >> fb & 1):
                 return Check(False,
                              f"eventuality {sigma.formulas[fi]} of world {i} unrealized")
     for fi, fb in sigma.forall_pairs:
@@ -139,22 +160,6 @@ def check_quasimodel(q: Quasimodel) -> Check:
                 if not profile_compatible(sigma, q.profile, label):
                     return Check(False, f"world {i} disagrees with the profile")
     return Check(True)
-
-
-def _realized_from(q: Quasimodel, start: int, body: int) -> bool:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            if q.worlds[i].label >> body & 1:
-                return True
-            for j in q.successors(i):
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -189,50 +194,48 @@ def prune_profile(store: MomentStore, profile, order=None) -> Quasimodel:
 
 def _prune(sigma: SigmaContext, moments, mask: int, order=None,
            deadline: float | None = None) -> Quasimodel:
-    alive = {m for m in moments
-             if all(profile_compatible(sigma, mask, l) for l in m.node_labels())}
-    sweep = list(moments) if order is None else list(order)
+    carrier = tuple(sorted({m for m in moments
+                            if all(profile_compatible(sigma, mask, l) for l in m.node_labels())},
+                           key=lambda m: m.key))
+    index = {m: i for i, m in enumerate(carrier)}
+    succ = _successor_lists(carrier, deadline)
+    # a submoment outside the carrier maps to -1, which is never alive
+    subs = [[index.get(sub, -1) for sub in m.subtrees() if sub is not m] for m in carrier]
+    alive = set(range(len(carrier)))
+
+    def survives(i: int) -> bool:
+        label = carrier[i].label
+        return (all(k in alive for k in subs[i])
+                and any(j in alive for j in succ[i])
+                and all(reaches(i, succ.__getitem__, lambda v, w: w in alive,
+                                lambda v: carrier[v].label >> fb & 1)
+                        for fi, fb in sigma.ev_pairs if label >> fi & 1))
+
+    sweep = range(len(carrier)) if order is None else [index[m] for m in order if m in index]
     changed = True
     while changed:
         if deadline is not None and time.monotonic() > deadline:
             raise CapExceeded("profile pruning ran out of time")
         changed = False
-        for m in sweep:
-            if m not in alive:
-                continue
-            if not _survives(sigma, m, alive):
-                alive.discard(m)
+        for i in sweep:
+            if i in alive and not survives(i):
+                alive.discard(i)
                 changed = True
-    worlds = tuple(sorted(alive, key=lambda m: m.key))
-    edges = frozenset((i, j) for i, v in enumerate(worlds) for j, w in enumerate(worlds)
-                      if temporal_successor(v, w))
-    return Quasimodel(sigma, worlds, edges, mask)
+    kept = sorted(alive)
+    renumber = {i: k for k, i in enumerate(kept)}
+    edges = frozenset((renumber[i], renumber[j]) for i in kept for j in succ[i] if j in alive)
+    return Quasimodel(sigma, tuple(carrier[i] for i in kept), edges, mask)
 
 
-def _survives(sigma: SigmaContext, m: Moment, alive: set[Moment]) -> bool:
-    if any(sub not in alive for sub in m.subtrees() if sub is not m):
-        return False
-    if not any(temporal_successor(m, w) for w in alive):
-        return False
-    for fi, fb in sigma.ev_pairs:
-        if m.label >> fi & 1:
-            seen = {m}
-            frontier = [m]
-            found = False
-            while frontier and not found:
-                nxt = []
-                for v in frontier:
-                    if v.label >> fb & 1:
-                        found = True
-                        break
-                    for w in alive:
-                        if w not in seen and temporal_successor(v, w):
-                            seen.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            if not found:
-                return False
-    return True
+def _successor_lists(moments: tuple[Moment, ...],
+                     deadline: float | None) -> list[list[int]]:
+    """For each moment, the indices of the moments that can follow it."""
+    rows = []
+    for v in moments:
+        if deadline is not None and time.monotonic() > deadline:
+            raise CapExceeded("successor construction ran out of time")
+        rows.append([j for j, w in enumerate(moments) if temporal_successor(v, w)])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +251,6 @@ def build_realizing_path(q: Quasimodel, start: int) -> Lasso:
     repeats.  States are finitely many, so this terminates.
     """
     sigma = q.sigma
-    succ = {i: q.successors(i) for i in range(len(q.worlds))}
     trail: list[int] = []
     visited: dict[tuple[int, tuple[int, ...]], int] = {}
     queue: list[int] = []
@@ -270,21 +272,22 @@ def build_realizing_path(q: Quasimodel, start: int) -> Lasso:
         visited[state] = len(trail)
         trail.append(w)
         if queue:
-            w = _step_towards(q, succ, w, queue[0])
+            w = _step_towards(q, w, queue[0])
         else:
-            if not succ[w]:
+            succ = q.successors(w)
+            if not succ:
                 raise InvariantViolation(f"world {w} has no successor")
-            w = succ[w][0]
+            w = succ[0]
 
 
-def _step_towards(q: Quasimodel, succ: dict[int, list[int]], start: int, body: int) -> int:
+def _step_towards(q: Quasimodel, start: int, body: int) -> int:
     """First edge of the canonical shortest path realizing the eventuality."""
     parent: dict[int, int] = {start: start}
     frontier = [start]
     while frontier:
         nxt = []
         for i in frontier:
-            for j in succ[i]:
+            for j in q.successors(i):
                 if j not in parent:
                     parent[j] = i
                     if q.worlds[j].label >> body & 1:
@@ -360,16 +363,8 @@ class Certificate:
     lassos: dict[int, Lasso]
 
     def to_json_dict(self) -> dict:
-        q = self.quasimodel
-        sigma = q.sigma
-        profile = [] if q.profile is None else [i for i in range(len(sigma))
-                                                if q.profile >> i & 1]
         return {
-            "sigma": [format_formula(f) for f in sigma.formulas],
-            "profile": profile,
-            "worlds": [{"id": i, "moment": m.to_json()} for i, m in enumerate(q.worlds)],
-            "order": [list(p) for p in q.order_pairs()],
-            "s_edges": [list(p) for p in sorted(q.s_edges)],
+            **self.quasimodel.to_json_dict(),
             "witness": self.witness,
             "target": format_formula(self.target),
             "lassos": {str(i): {"prefix": list(l.prefix), "loop": list(l.loop)}
@@ -573,20 +568,13 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     generation = _Generation(sigma, caps, allowed_labels=allowed, deadline=deadline)
     profiles = [p for p, _ in needing]
 
-    def search(carrier, profile: int):
-        q = _prune(sigma, carrier, profile, None, deadline)
-        return q, _moment_witness(q, sigma, profile, target_idx, forall_bodies)
-
     capped = False
     try:
         while generation.grow():
             carrier = generation.snapshot()
-            if caps.jobs > 1 and len(profiles) > 1:
-                with ThreadPoolExecutor(max_workers=caps.jobs) as pool:
-                    results = list(pool.map(lambda p: search(carrier, p), profiles))
-            else:
-                results = [search(carrier, p) for p in profiles]
-            for profile, (q, witness) in zip(profiles, results):
+            for profile in profiles:
+                q = _prune(sigma, carrier, profile, None, deadline)
+                witness = _moment_witness(q, sigma, profile, target_idx, forall_bodies)
                 if witness is None:
                     continue
                 outcomes[profile] = "falsifiable"
@@ -662,6 +650,7 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
     """
     from . import alexandroff
 
+    deadline = caps.deadline()
     point_labels = []
     truth = {f: alexandroff.evaluate(system, valuation, f) for f in sigma.formulas}
     for i, name in enumerate(system.names):
@@ -702,11 +691,11 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
 
     worlds = tuple(sorted({m for m, _ in alive}, key=lambda m: m.key))
     idx = {m: i for i, m in enumerate(worlds)}
-    edges = frozenset((i, j) for i, v in enumerate(worlds) for j, w in enumerate(worlds)
-                      if temporal_successor(v, w))
+    succ = _successor_lists(worlds, deadline)
+    edges = frozenset((i, j) for i, row in enumerate(succ) for j in row)
     for m, x in alive:
         y = system.f[x]
-        if not any(temporal_successor(m, w) and (w, y) in alive for w in worlds):
+        if not any((worlds[j], y) in alive for j in succ[idx[m]]):
             raise InvariantViolation("simulation is not dynamic")
 
     forall_part = worlds[0].label & sigma.forall_mask if worlds else 0

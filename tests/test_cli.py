@@ -124,3 +124,19 @@ def test_decide_capped_search_is_resource_limit(capsys):
     # and an incomplete enumeration must never upgrade to VALID
     assert run(["decide", "X p -> p", "--max-moments", "1"]) == 3
     assert "RESOURCE" in capsys.readouterr().out
+
+
+def test_decide_resource_limit_json(capsys):
+    assert run(["decide", "X p -> p", "--max-moments", "1", "--format", "json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"verdict": "RESOURCE_LIMIT", "complete": False}
+
+
+def test_certificate_and_extract_share_quasimodel_keys(capsys):
+    shared = ["sigma", "profile", "worlds", "order", "s_edges"]
+    assert run(["decide", FLAGSHIP, "--format", "json"]) == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert list(cert) == shared + ["witness", "target", "lassos"]
+    assert run(["extract", FIXTURE, "(X p -> X q) -> X(p -> q)", "--format", "json"]) == 1
+    extracted = json.loads(capsys.readouterr().out)
+    assert list(extracted) == shared + ["falsified"]
