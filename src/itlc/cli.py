@@ -114,12 +114,19 @@ def _quasimodel_dot(q: quasimodel.Quasimodel) -> str:
     return "\n".join(lines)
 
 
+def _verdict_dot(kind: str) -> str:
+    """An empty graph labelled with a verdict that carries no quasimodel."""
+    return f'digraph verdict {{\n  label="{kind}";\n}}'
+
+
 def _cmd_decide(args) -> int:
     target = parse(args.formula)
     verdict = quasimodel.decide(target, _caps(args))
     if verdict.kind == "VALID":
         if args.format == "json":
             _emit(json.dumps({"verdict": "VALID", "complete": True}, indent=2))
+        elif args.format == "dot":
+            _emit(_verdict_dot("VALID"))
         else:
             _emit("VALID")
         return EXIT_OK
@@ -140,6 +147,8 @@ def _cmd_decide(args) -> int:
         return EXIT_FOUND
     if args.format == "json":
         _emit(json.dumps({"verdict": "RESOURCE_LIMIT", "complete": False}, indent=2))
+    elif args.format == "dot":
+        _emit(_verdict_dot("RESOURCE_LIMIT"))
     else:
         _emit("RESOURCE LIMIT")
     return EXIT_RESOURCE

@@ -16,6 +16,10 @@ Concrete grammar::
     atom    := [a-z][a-zA-Z0-9_]*
 
 Precedence: unary > '&' > '|' > '->' (right associative).
+
+Nesting is bounded: parse refuses a formula nested more than MAX_NESTING
+levels deep, counting parentheses as well as operators, because the
+printer, the evaluators and formula hashing all recurse over the tree.
 """
 
 from __future__ import annotations
@@ -124,6 +128,12 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 _UNARY_TOKENS = {"~", "X", "<>", "[]", "A", "E"}
 
+#: Deepest nesting parse accepts.  Exists elimination triples the depth and
+#: hashing a formula takes two stack frames per level, so this stays well
+#: inside Python's default recursion limit.
+MAX_NESTING = 100
+_TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Yield (kind, value, position) triples; kind is 'op' or 'atom'."""
@@ -168,6 +178,13 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.text = text
+        self.depth = 0
+
+    def deeper(self, position: int) -> None:
+        """Enter one nesting level; the caller leaves it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(_TOO_DEEP, position)
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -189,7 +206,10 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "->":
             self.take()
-            return Implies(left, self.impl())
+            self.deeper(tok[2])
+            right = self.impl()
+            self.depth -= 1
+            return Implies(left, right)
         if tok and tok[0] == "op" and tok[1] == "<->":
             self.take()
             right = self.disj()
@@ -218,11 +238,15 @@ class _Parser:
         if value == "#":
             return BOT
         if value == "(":
+            self.deeper(pos)
             f = self.impl()
             self.expect(")")
+            self.depth -= 1
             return f
         if value in _UNARY_TOKENS:
+            self.deeper(pos)
             body = self.unary()
+            self.depth -= 1
             return {"~": lambda b: Implies(b, BOT), "X": Next, "<>": Eventually,
                     "[]": Henceforth, "A": Forall, "E": Exists}[value](body)
         raise ParseError(f"unexpected token {value!r}", pos)
@@ -235,7 +259,25 @@ def parse(text: str) -> Formula:
     tok = parser.peek()
     if tok is not None:
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    # chains of '&' and '|' nest the tree without nesting the parser
+    if _height(f) > MAX_NESTING:
+        raise ParseError(_TOO_DEEP, 0)
     return f
+
+
+def _height(f: Formula) -> int:
+    """Operator levels of the syntax tree (0 for a leaf), counted without
+    recursion.  '<->' shares its operands, so a node is walked again only
+    when reached at a deeper level."""
+    deepest: dict[int, int] = {}
+    stack = [(f, 0)]
+    while stack:
+        g, level = stack.pop()
+        if deepest.get(id(g), -1) >= level:
+            continue
+        deepest[id(g)] = level
+        stack.extend((c, level + 1) for c in children(g))
+    return max(deepest.values())
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +316,16 @@ def subformulas(f: Formula) -> tuple[Formula, ...]:
     """All subformulas in post-order of first occurrence, deduplicated."""
     acc: list[Formula] = []
     seen: set[Formula] = set()
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        for child in children(g):
-            walk(child)
-        if g not in seen:
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:  # a formula never occurs inside itself, so g is new
             seen.add(g)
             acc.append(g)
-
-    walk(f)
+        elif g not in seen:
+            stack.append((g, True))
+            for c in reversed(children(g)):
+                stack.append((c, False))
     return tuple(acc)
 
 
@@ -305,14 +346,12 @@ def eliminate_exists(f: Formula) -> Formula:
 def fragment_of(f: Formula) -> frozenset[Modality]:
     """The exact set of modalities occurring in the formula."""
     mods: set[Modality] = set()
-
-    def walk(g: Formula) -> None:
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if type(g) in _UNARY:
             mods.add(_UNARY[type(g)])
-        for child in children(g):
-            walk(child)
-
-    walk(f)
+        stack.extend(children(g))
     return frozenset(mods)
 
 

@@ -36,7 +36,8 @@ class Moment:
         self.children = children
         self.height = 1 + max((c.height for c in children), default=0)
         self.size = 1 + sum(c.size for c in children)
-        self._key = (label,) + tuple(c._key for c in children)
+        # children compare by key, so this orders like the nested label tuple
+        self._key = (label, children)
         self._hash = hash(self._key)
         self._subtrees: frozenset[Moment] | None = None
         self._nodes: _NodeArrays | None = None
@@ -154,11 +155,16 @@ def moment(sigma: SigmaContext, label: int | TypeSet, children=(),
     kids = _sorted_kids(sigma, children)
     if validate:
         check_kit(sigma, label, kids)
-    cache_key = (label, kids)
-    cached = sigma._moment_cache.get(cache_key)
+    return _intern(sigma, label, kids)
+
+
+def _intern(sigma: SigmaContext, label: int, kids: tuple[Moment, ...]) -> Moment:
+    """The interned moment with these sorted children; the moment's own key
+    is the intern-table key, so no second tuple is kept."""
+    cached = sigma._moment_cache.get((label, kids))
     if cached is None:
         cached = Moment(sigma, label, kids)
-        sigma._moment_cache[cache_key] = cached
+        sigma._moment_cache[cached._key] = cached
     return cached
 
 
@@ -311,7 +317,9 @@ def is_irreducible(m: Moment) -> bool:
     strict descendant, and a node with two identical child subtrees, both
     force reducibility.  Neither is sufficient (a child subtree may fold
     into a sibling without being isomorphic to it), so a search over
-    candidate collapses confirms the answer.
+    candidate collapses confirms the answer.  A moment whose node labels
+    are pairwise distinct is always irreducible: the only label-preserving
+    node map is then the identity, which collapses nothing.
     """
     memo = m.sigma._irr_memo
     hit = memo.get(m)
@@ -404,14 +412,31 @@ class _CapStop(Exception):
     pass
 
 
+def _distinct_labels(kids: tuple[Moment, ...]) -> bool:
+    """Whether the nodes below a candidate's root carry pairwise distinct
+    labels.  The root needs no test: every node below it has a strictly
+    larger label."""
+    seen: set[int] = set()
+    stack = list(kids)
+    while stack:
+        m = stack.pop()
+        if m.label in seen:
+            return False
+        seen.add(m.label)
+        stack.extend(m.children)
+    return True
+
+
 class _Generation:
     """Bottom-up layered generation of irreducible moments.
 
     Height-one moments are the defect-free types.  A taller candidate is
     a root type grafted below a set of pairwise distinct, already
     generated irreducibles whose root labels strictly extend it, with at
-    least one child of the previous height; each candidate is confirmed
-    by the full irreducibility check.  One grow() call produces one
+    least one child of the previous height.  A candidate whose node labels
+    are pairwise distinct is irreducible outright (see is_irreducible),
+    which covers every height-two candidate; any other candidate is
+    confirmed by the full irreducibility check.  One grow() call produces one
     height layer, so a caller may interleave generation with its own
     searches and stop early; `capped` records whether a resource limit
     cut the space off before it was exhausted.
@@ -495,14 +520,14 @@ class _Generation:
                             if any(all(c.label >> i & 1 for c in kids)
                                    for i in defect_ids):
                                 continue
-                            # probe without interning; reducible candidates
-                            # must not survive in any cache
-                            probe = Moment(sigma, root, _sorted_kids(sigma, kids))
-                            if _is_irreducible(probe):
-                                kept = moment(sigma, root, kids, validate=False)
-                                sigma._irr_memo[kept] = True
-                                fresh.append(kept)
-                                self.count += 1
+                            ordered = _sorted_kids(sigma, kids)
+                            if not _distinct_labels(kids):
+                                # probe without interning; reducible candidates
+                                # must not survive in any cache
+                                if not _is_irreducible(Moment(sigma, root, ordered)):
+                                    continue
+                            fresh.append(_intern(sigma, root, ordered))
+                            self.count += 1
         return fresh
 
     def snapshot(self) -> tuple[Moment, ...]:

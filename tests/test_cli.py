@@ -132,6 +132,25 @@ def test_decide_resource_limit_json(capsys):
     assert data == {"verdict": "RESOURCE_LIMIT", "complete": False}
 
 
+def test_decide_resource_limit_dot(capsys):
+    assert run(["decide", "X p -> p", "--max-moments", "1", "--format", "dot"]) == 3
+    assert capsys.readouterr().out == 'digraph verdict {\n  label="RESOURCE_LIMIT";\n}\n'
+
+
+def test_decide_valid_dot(capsys):
+    assert run(["decide", "p -> p", "--format", "dot"]) == 0
+    assert capsys.readouterr().out == 'digraph verdict {\n  label="VALID";\n}\n'
+
+
+def test_decide_deep_nesting_is_parse_error(capsys):
+    for text in ("X" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000,
+                 " -> ".join(["p"] * 3000), " & ".join(["p"] * 3000)):
+        assert run(["decide", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: formula nested deeper than")
+
+
 def test_certificate_and_extract_share_quasimodel_keys(capsys):
     shared = ["sigma", "profile", "worlds", "order", "s_edges"]
     assert run(["decide", FLAGSHIP, "--format", "json"]) == 1

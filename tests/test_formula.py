@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import itlc
-from itlc.formula import (And, Atom, BOT, Bottom, Eventually, Exists, Forall,
-                          Henceforth, Implies, Modality, Next, Or,
+from itlc.formula import (MAX_NESTING, And, Atom, BOT, Bottom, Eventually, Exists,
+                          Forall, Henceforth, Implies, Modality, Next, Or,
                           eliminate_exists, format_formula, fragment_of,
                           godel_tarski, in_diamond_fragment, parse,
                           random_formula, subformulas)
@@ -51,6 +51,26 @@ def test_parse_errors_carry_position():
         parse("(p -> q")
     with pytest.raises(itlc.ParseError):
         parse("p q")
+
+
+@pytest.mark.parametrize("nest", [
+    lambda n: "X" * n + "p",
+    lambda n: "E" * n + "p",
+    lambda n: "(" * n + "p" + ")" * n,
+    lambda n: " -> ".join(["p"] * (n + 1)),
+    lambda n: " & ".join(["p"] * (n + 1)),
+])
+def test_nesting_bound(nest):
+    deepest = parse(nest(MAX_NESTING))
+    assert parse(format_formula(deepest)) == deepest
+    reduced = eliminate_exists(deepest)  # up to three times as deep
+    assert format_formula(reduced)
+    assert subformulas(reduced)[-1] == reduced
+    assert fragment_of(reduced) <= {Modality.NEXT, Modality.FORALL}
+    godel_tarski(deepest)
+    with pytest.raises(itlc.ParseError) as err:
+        parse(nest(MAX_NESTING + 1))
+    assert "nested deeper" in str(err.value)
 
 
 def test_format_sugar_inverse():

@@ -5,7 +5,7 @@ import pytest
 import itlc
 from itlc.formula import Atom, parse
 from itlc.labels import SigmaContext, enumerate_types, subformula_closure, type_set
-from itlc.moments import (below, enumerate_irreducibles, graft,
+from itlc.moments import (_Generation, below, enumerate_irreducibles, graft,
                           is_irreducible, moment, reduce, submoment,
                           temporal_successor)
 from oracles import all_moments_upto, reduction_oracle, successor_oracle
@@ -128,6 +128,24 @@ def test_reduce_matches_brute_force_oracle():
             assert reduct.size == min(smallest, m.size)
 
 
+def _node_labels_in_preorder(m):
+    out = [m.label]
+    for c in m.children:
+        out.extend(_node_labels_in_preorder(c))
+    return out
+
+
+@pytest.mark.parametrize("text", ["X p -> p", "p & q"])
+def test_distinct_node_labels_imply_irreducible(text):
+    # generation accepts such candidates without the collapse search
+    sigma = subformula_closure(parse(text))
+    distinct = [m for m in all_moments_upto(sigma, 4)
+                if len(set(_node_labels_in_preorder(m))) == m.size]
+    assert any(m.size >= 3 for m in distinct)
+    for m in distinct:
+        assert is_irreducible(m), m
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -189,6 +207,30 @@ def test_enumerate_caps_flag_incomplete():
     store = enumerate_irreducibles(sigma, itlc.Caps(max_moments=3))
     assert not store.complete
     assert len(store) <= 3
+
+
+def _nested(m):
+    return (m.label,) + tuple(_nested(c) for c in m.children)
+
+
+@pytest.mark.parametrize("text", ["<>p", "X p -> p", "X ~p <-> ~X p"])
+def test_key_orders_like_nested_label_tuples(text):
+    store = enumerate_irreducibles(subformula_closure(parse(text)),
+                                   itlc.Caps(max_moments=2000))
+    moments = list(store.moments)
+    random.Random(7).shuffle(moments)
+    assert sorted(moments, key=lambda m: m.key) == sorted(moments, key=_nested)
+    assert list(store.moments) == sorted(moments, key=_nested)
+
+
+def test_capped_generation_counts():
+    # the candidate and acceptance counts of the search before the
+    # distinct-label shortcut; the shortcut must not move them
+    sigma = subformula_closure(parse("(X p -> X q) -> X(p -> q)"))
+    gen = _Generation(sigma, itlc.Caps())
+    while gen.grow():
+        pass
+    assert (gen.capped, gen.height, gen.examined, gen.count) == (True, 2, 90_052, 50_000)
 
 
 def test_enumerate_restricted_labels(flagship_sigma, worked_labels):
