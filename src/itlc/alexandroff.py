@@ -9,7 +9,9 @@ deliberately independent of the quasimodel machinery so the two can
 check each other.
 
 Element sets are integer bitmasks internally; the public API speaks in
-element names.
+element names.  Each evaluate, validity or countermodel call compiles its
+formula once into an instruction list and runs it per valuation, with
+lookup tables built per system for that call.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 from dataclasses import dataclass
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, SchemaError
 from .formula import (And, Atom, Bottom, Eventually, Exists, Forall, Formula,
-                      Henceforth, Implies, Next, Or, subformulas)
+                      Henceforth, Implies, Next, Or, children, subformulas)
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,10 @@ class FiniteSystem:
         n = len(self.poset)
         if len(self.f) != n or any(not 0 <= y < n for y in self.f):
             raise SchemaError("map: not a total function on the elements")
+        down, f = self.poset.down, self.f
         for a in range(n):
             for b in range(n):
-                if self.poset.leq(a, b) and not self.poset.leq(self.f[a], self.f[b]):
+                if down[b] >> a & 1 and not down[f[b]] >> f[a] & 1:
                     raise SchemaError(
                         f"map: not monotone on ({self.names[a]}, {self.names[b]})")
 
@@ -148,8 +152,8 @@ def system(names, order_pairs, mapping) -> FiniteSystem:
 
 def _interior_mask(X: FiniteSystem, mask: int) -> int:
     out = 0
-    for i in range(len(X)):
-        if X.down[i] & ~mask == 0:
+    for i, below in enumerate(X.down):
+        if below & ~mask == 0:
             out |= 1 << i
     return out
 
@@ -173,52 +177,111 @@ def _preimage(X: FiniteSystem, mask: int) -> int:
     return out
 
 
-def _evaluate_mask(X: FiniteSystem, valuation: dict[str, int], f: Formula,
-                   cache: dict[Formula, int]) -> int:
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
-    full = X.full_mask()
-    if isinstance(f, Bottom):
-        out = 0
-    elif isinstance(f, Atom):
-        if f.name not in valuation:
-            raise KeyError(f"no valuation for atom {f.name!r}")
-        out = valuation[f.name]
-    elif isinstance(f, And):
-        out = (_evaluate_mask(X, valuation, f.left, cache)
-               & _evaluate_mask(X, valuation, f.right, cache))
-    elif isinstance(f, Or):
-        out = (_evaluate_mask(X, valuation, f.left, cache)
-               | _evaluate_mask(X, valuation, f.right, cache))
-    elif isinstance(f, Implies):
-        l = _evaluate_mask(X, valuation, f.left, cache)
-        r = _evaluate_mask(X, valuation, f.right, cache)
-        out = _interior_mask(X, (full & ~l) | r)
-    elif isinstance(f, Next):
-        out = _preimage(X, _evaluate_mask(X, valuation, f.body, cache))
-    elif isinstance(f, Eventually):
-        out = _evaluate_mask(X, valuation, f.body, cache)
-        while True:
-            grown = out | _preimage(X, out)
-            if grown == out:
-                break
-            out = grown
-    elif isinstance(f, Henceforth):
-        body = _evaluate_mask(X, valuation, f.body, cache)
-        out = body
-        while True:
-            shrunk = body & _preimage(X, out)
-            if shrunk == out:
-                break
-            out = shrunk
-    elif isinstance(f, Exists):
-        out = full if _evaluate_mask(X, valuation, f.body, cache) else 0
-    elif isinstance(f, Forall):
-        out = full if _evaluate_mask(X, valuation, f.body, cache) == full else 0
-    else:
-        raise TypeError(f"unknown formula node {f!r}")
-    cache[f] = out
+class _Memo(dict):
+    """A function of masks, tabulated on first use of each argument."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, mask: int) -> int:
+        value = self[mask] = self.fn(mask)
+        return value
+
+
+class _Tables:
+    """The mask operations of one system, tabulated for one call:
+    interior, map preimage, and the fixpoints of eventually (least, of
+    m | pre(m)) and henceforth (greatest, of m & pre(m)).  Entries are
+    filled in as masks come up, so a large system never tabulates all of
+    its subsets."""
+
+    def __init__(self, X: FiniteSystem):
+        self.full = X.full_mask()
+        self.interior = _Memo(lambda m: _interior_mask(X, m))
+        preimage = self.preimage = _Memo(lambda m: _preimage(X, m))
+
+        def least(mask: int) -> int:
+            out = mask
+            while (grown := out | preimage[out]) != out:
+                out = grown
+            return out
+
+        def greatest(mask: int) -> int:
+            out = mask
+            while (shrunk := mask & preimage[out]) != out:
+                out = shrunk
+            return out
+
+        self.eventually = _Memo(least)
+        self.henceforth = _Memo(greatest)
+
+
+# Opcodes of compiled formulas, one per node type.
+_BOT, _ATOM, _AND, _OR, _IMPLIES, _NEXT, _EVENTUALLY, _HENCEFORTH, _FORALL, _EXISTS = range(10)
+_OPCODES = {Bottom: _BOT, Atom: _ATOM, And: _AND, Or: _OR, Implies: _IMPLIES,
+            Next: _NEXT, Eventually: _EVENTUALLY, Henceforth: _HENCEFORTH,
+            Forall: _FORALL, Exists: _EXISTS}
+
+_Program = tuple[tuple[int, int, object, int], ...]
+
+
+def _compile(f: Formula) -> _Program:
+    """Post-order instruction list over the distinct subformulas of f.
+
+    Instruction i is (i, opcode, a, b) and writes the truth mask of the
+    i-th distinct subformula to register i; a and b are the registers of
+    its operands, or a is the atom's name.  The last one computes f.
+    """
+    subs = subformulas(f)
+    slot = {g: i for i, g in enumerate(subs)}
+    code = []
+    for i, g in enumerate(subs):
+        op = _OPCODES.get(type(g))
+        if op is None:
+            raise TypeError(f"unknown formula node {g!r}")
+        if op == _ATOM:
+            code.append((i, op, g.name, 0))
+        else:
+            a, b, *_ = [slot[c] for c in children(g)] + [0, 0]
+            code.append((i, op, a, b))
+    return tuple(code)
+
+
+def _atoms(program: _Program) -> list[str]:
+    return sorted({a for _, op, a, _ in program if op == _ATOM})
+
+
+def _evaluate_mask(tables: _Tables, valuation: dict[str, int], program: _Program,
+                   cache: dict[int, int]) -> int:
+    """Truth mask of a compiled formula on the system of the tables, under
+    one valuation of its atoms to open masks; cache is the register file,
+    fresh for each call."""
+    full = tables.full
+    for i, op, a, b in program:  # most frequent opcodes first
+        if op == _IMPLIES:
+            out = tables.interior[(full & ~cache[a]) | cache[b]]
+        elif op == _ATOM:
+            out = valuation[a]
+        elif op == _AND:
+            out = cache[a] & cache[b]
+        elif op == _OR:
+            out = cache[a] | cache[b]
+        elif op == _NEXT:
+            out = tables.preimage[cache[a]]
+        elif op == _EVENTUALLY:
+            out = tables.eventually[cache[a]]
+        elif op == _HENCEFORTH:
+            out = tables.henceforth[cache[a]]
+        elif op == _FORALL:
+            out = full if cache[a] == full else 0
+        elif op == _EXISTS:
+            out = full if cache[a] else 0
+        else:  # bottom
+            out = 0
+        cache[i] = out
     return out
 
 
@@ -241,7 +304,11 @@ def evaluate(X: FiniteSystem, valuation, f: Formula) -> frozenset[str]:
     the whole space.
     """
     masks = _valuation_masks(X, valuation)
-    return X.names_of(_evaluate_mask(X, masks, f, {}))
+    program = _compile(f)
+    for atom in _atoms(program):
+        if atom not in masks:
+            raise KeyError(f"no valuation for atom {atom!r}")
+    return X.names_of(_evaluate_mask(_Tables(X), masks, program, {}))
 
 
 def open_masks(X: FiniteSystem) -> list[int]:
@@ -251,15 +318,19 @@ def open_masks(X: FiniteSystem) -> list[int]:
 
 def is_valid_on_system(X: FiniteSystem, f: Formula, caps: Caps = DEFAULT_CAPS) -> bool:
     """Whether the formula holds everywhere under every open valuation."""
-    atoms = sorted({g.name for g in subformulas(f) if isinstance(g, Atom)})
+    deadline = caps.deadline()
+    program = _compile(f)
+    atoms = _atoms(program)
     opens = open_masks(X)
     total = len(opens) ** len(atoms) if atoms else 1
     if total > caps.max_valuations:
         raise CapExceeded(f"{total} valuations exceed the cap")
-    full = X.full_mask()
-    for combo in itertools.product(opens, repeat=len(atoms)):
+    tables = _Tables(X)
+    for k, combo in enumerate(itertools.product(opens, repeat=len(atoms))):
+        if deadline is not None and k % 256 == 0 and time.monotonic() > deadline:
+            raise CapExceeded(f"validity check passed the {caps.timeout} s timeout")
         valuation = dict(zip(atoms, combo))
-        if _evaluate_mask(X, valuation, f, {}) != full:
+        if _evaluate_mask(tables, valuation, program, {}) != tables.full:
             return False
     return True
 
@@ -269,8 +340,11 @@ def is_valid_on_system(X: FiniteSystem, f: Formula, caps: Caps = DEFAULT_CAPS) -
 
 def enumerate_posets(n: int) -> list[FinitePoset]:
     """All labelled posets on n elements, canonical order."""
+    return list(_posets(n))
+
+
+def _posets(n: int):
     names = tuple(_element_names(n))
-    out = []
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         down = [1 << i for i in range(n)]
@@ -290,27 +364,32 @@ def enumerate_posets(n: int) -> list[FinitePoset]:
             if not ok:
                 break
         if ok:
-            out.append(FinitePoset(names, tuple(down)))
-    return out
+            yield FinitePoset(names, tuple(down))
 
 
 def monotone_maps(poset: FinitePoset) -> list[tuple[int, ...]]:
     n = len(poset)
-    out = []
-    for f in itertools.product(range(n), repeat=n):
-        if all(not poset.leq(a, b) or poset.leq(f[a], f[b])
-               for a in range(n) for b in range(n) if a != b):
-            out.append(f)
-    return out
+    is_monotone = _monotonicity_test(poset)
+    return [f for f in itertools.product(range(n), repeat=n) if is_monotone(f)]
+
+
+def _monotonicity_test(poset: FinitePoset):
+    """Whether a map, as a tuple of images, preserves the strict order."""
+    down = poset.down
+    below = [(a, b) for b in range(len(poset)) for a in range(len(poset))
+             if a != b and down[b] >> a & 1]
+    return lambda f: all(down[f[b]] >> f[a] & 1 for a, b in below)
 
 
 def enumerate_systems(n: int) -> list[FiniteSystem]:
     """All labelled systems on n elements, canonical order."""
-    out = []
-    for poset in enumerate_posets(n):
+    return list(_systems(n))
+
+
+def _systems(n: int):
+    for poset in _posets(n):
         for f in monotone_maps(poset):
-            out.append(FiniteSystem(poset, f))
-    return out
+            yield FiniteSystem(poset, f)
 
 
 def _element_names(n: int) -> list[str]:
@@ -327,20 +406,26 @@ class Countermodel:
 def find_countermodel(f: Formula, max_points: int,
                       caps: Caps = DEFAULT_CAPS) -> Countermodel | None:
     """Search all systems up to the given size and all open valuations
-    for a point falsifying the formula; first hit in canonical order."""
-    atoms = sorted({g.name for g in subformulas(f) if isinstance(g, Atom)})
+    for a point falsifying the formula; first hit in canonical order.
+    Systems are enumerated lazily, so max_systems and the timeout trip
+    as the search reaches them."""
+    deadline = caps.deadline()
+    program = _compile(f)
+    atoms = _atoms(program)
     examined = 0
     for n in range(1, max_points + 1):
-        for X in enumerate_systems(n):
+        for X in _systems(n):
             examined += 1
             if examined > caps.max_systems:
                 raise CapExceeded(f"countermodel search passed {caps.max_systems} systems")
+            if deadline is not None and time.monotonic() > deadline:
+                raise CapExceeded(f"countermodel search passed the {caps.timeout} s timeout")
             opens = open_masks(X)
-            full = X.full_mask()
+            tables = _Tables(X)
             for combo in itertools.product(opens, repeat=len(atoms)):
                 valuation = dict(zip(atoms, combo))
-                truth = _evaluate_mask(X, valuation, f, {})
-                if truth != full:
+                truth = _evaluate_mask(tables, valuation, program, {})
+                if truth != tables.full:
                     point = next(X.names[i] for i in range(n) if not truth >> i & 1)
                     named = {a: X.names_of(m) for a, m in valuation.items()}
                     return Countermodel(X, named, point)
@@ -437,10 +522,10 @@ def random_system(n: int, seed: int = 0) -> FiniteSystem:
     # i below j only for i < j, so the closure is acyclic
     pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.35]
     poset = FinitePoset(names, _order_closure(n, pairs))
+    is_monotone = _monotonicity_test(poset)
     for _ in range(512):
         f = tuple(rng.randrange(n) for _ in range(n))
-        if all(not poset.leq(a, b) or poset.leq(f[a], f[b])
-               for a in range(n) for b in range(n) if a != b):
+        if is_monotone(f):
             return FiniteSystem(poset, f)
     target = rng.randrange(n)
     return FiniteSystem(poset, tuple(target for _ in range(n)))

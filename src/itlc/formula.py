@@ -19,7 +19,7 @@ Precedence: unary > '&' > '|' > '->' (right associative).
 
 Nesting is bounded: parse refuses a formula nested more than MAX_NESTING
 levels deep, counting parentheses as well as operators, because the
-printer, the evaluators and formula hashing all recurse over the tree.
+printers and a formula's first hash recurse over the tree.
 """
 
 from __future__ import annotations
@@ -31,63 +31,102 @@ from enum import Enum
 from .errors import ParseError
 
 
-@dataclass(frozen=True, slots=True)
 class Formula:
-    """Base class of all formula nodes."""
+    """Base class of all formula nodes, which are frozen dataclasses.
+
+    A node's hash covers its type and its operands.  It is computed on
+    first use and cached, so each node is hashed once and operands shared
+    by '<->' are never walked twice; equality walks two formulas
+    pairwise, each pair of nodes once.  The cached hash is no dataclass
+    field: equality, repr, pickling and copying see only the operands.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # first use; the operands cache theirs in turn
+            value = hash((type(self), *(getattr(self, name) for name in self.__match_args__)))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return NotImplemented
+        if type(self) is not type(other) or hash(self) != hash(other):
+            return False
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if type(a) is Atom:
+                if a.name != b.name:
+                    return False
+                continue
+            for x, y in zip(children(a), children(b)):
+                if x is not y and (id(x), id(y)) not in seen:
+                    if type(x) is not type(y):
+                        return False
+                    seen.add((id(x), id(y)))
+                    stack.append((x, y))
+        return True
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Next(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Eventually(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Henceforth(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Forall(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Exists(Formula):
     body: Formula
 
@@ -128,9 +167,9 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 _UNARY_TOKENS = {"~", "X", "<>", "[]", "A", "E"}
 
-#: Deepest nesting parse accepts.  Exists elimination triples the depth and
-#: hashing a formula takes two stack frames per level, so this stays well
-#: inside Python's default recursion limit.
+#: Deepest nesting parse accepts.  Exists elimination triples the depth, the
+#: printer takes two stack frames per level and a formula's first hash one,
+#: so this stays well inside Python's default recursion limit.
 MAX_NESTING = 100
 _TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 
@@ -332,27 +371,26 @@ def subformulas(f: Formula) -> tuple[Formula, ...]:
 def eliminate_exists(f: Formula) -> Formula:
     """Rewrite every exists subterm, innermost first, to ~A~body.
 
-    The result evaluates to the same truth set on every model.
+    The result evaluates to the same truth set on every model.  Each
+    distinct subformula is rewritten once, so operands shared by '<->'
+    stay shared.
     """
-    if isinstance(f, Exists):
-        return neg(Forall(neg(eliminate_exists(f.body))))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(eliminate_exists(f.left), eliminate_exists(f.right))
-    if isinstance(f, (Next, Eventually, Henceforth, Forall)):
-        return type(f)(eliminate_exists(f.body))
-    return f
+    out: dict[Formula, Formula] = {}
+    for g in subformulas(f):  # post-order: operands are rewritten first
+        if isinstance(g, Exists):
+            out[g] = neg(Forall(neg(out[g.body])))
+        elif isinstance(g, (And, Or, Implies)):
+            out[g] = type(g)(out[g.left], out[g.right])
+        elif isinstance(g, (Next, Eventually, Henceforth, Forall)):
+            out[g] = type(g)(out[g.body])
+        else:
+            out[g] = g
+    return out[f]
 
 
 def fragment_of(f: Formula) -> frozenset[Modality]:
     """The exact set of modalities occurring in the formula."""
-    mods: set[Modality] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) in _UNARY:
-            mods.add(_UNARY[type(g)])
-        stack.extend(children(g))
-    return frozenset(mods)
+    return frozenset(_UNARY[type(g)] for g in subformulas(f) if type(g) in _UNARY)
 
 
 def in_diamond_fragment(f: Formula) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import SigmaMismatchError
 from .formula import (And, Bottom, Eventually, Forall, Formula, Implies,
-                      Next, Or, subformulas)
+                      Next, Or, children, subformulas)
 
 
 class SigmaContext:
@@ -31,10 +31,9 @@ class SigmaContext:
         self.index = {f: i for i, f in enumerate(formulas)}
         if len(self.index) != len(formulas):
             raise ValueError("duplicate formulas in context")
-        closed = set(formulas)
         for f in formulas:
-            for g in subformulas(f):
-                if g not in closed:
+            for g in children(f):
+                if g not in self.index:
                     raise ValueError(f"context not subformula-closed: missing {g}")
 
         self.bottom_index = self.index.get(Bottom())

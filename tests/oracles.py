@@ -6,6 +6,8 @@ the two can disagree.
 
 import itertools
 
+from itlc.formula import (And, Atom, Eventually, Exists, Forall, Henceforth, Implies,
+                          Next, Or)
 from itlc.labels import enumerate_types
 from itlc.moments import moment
 
@@ -124,3 +126,42 @@ def reduction_oracle(m):
         if all(is_desc(nodes, pi[nodes[i][1]], pi[i]) for i in range(1, n)):
             images.append(frozenset(pi))
     return images
+
+
+def truth_oracle(X, valuation, f):
+    """Points satisfying f, from the pointwise definitions: atoms by
+    membership, implication over the cone below the point, next at the
+    image, eventually and henceforth along the orbit, and the quantifiers
+    over all points.  Nothing is memoised or tabulated."""
+    n = len(X)
+
+    def orbit(x):
+        seen = []
+        while x not in seen:
+            seen.append(x)
+            x = X.f[x]
+        return seen
+
+    def holds(g, x):
+        if isinstance(g, Atom):
+            return X.names[x] in valuation[g.name]
+        if isinstance(g, And):
+            return holds(g.left, x) and holds(g.right, x)
+        if isinstance(g, Or):
+            return holds(g.left, x) or holds(g.right, x)
+        if isinstance(g, Implies):
+            return all(not holds(g.left, y) or holds(g.right, y)
+                       for y in range(n) if X.down[x] >> y & 1)
+        if isinstance(g, Next):
+            return holds(g.body, X.f[x])
+        if isinstance(g, Eventually):
+            return any(holds(g.body, y) for y in orbit(x))
+        if isinstance(g, Henceforth):
+            return all(holds(g.body, y) for y in orbit(x))
+        if isinstance(g, Forall):
+            return all(holds(g.body, y) for y in range(n))
+        if isinstance(g, Exists):
+            return any(holds(g.body, y) for y in range(n))
+        return False  # bottom
+
+    return frozenset(X.names[x] for x in range(n) if holds(f, x))

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from itlc.alexandroff import (Analysis, analyze, closure, enumerate_posets,
                               random_system, system, system_from_json,
                               system_to_json)
 from itlc.formula import parse
+
+from oracles import truth_oracle
 
 
 def _random_valuation(rng, X, atoms):
@@ -106,6 +109,15 @@ def test_missing_atom_reported():
         evaluate(X, {}, parse("p"))
 
 
+def test_evaluate_matches_pointwise_oracle():
+    rng = random.Random(53)
+    for seed in range(300):
+        X = random_system(rng.randint(1, 6), seed)
+        val = _random_valuation(rng, X, ("p", "q"))
+        f = itlc.random_formula(rng, depth=rng.choice((3, 4)))
+        assert evaluate(X, val, f) == truth_oracle(X, val, f), str(f)
+
+
 def test_truth_sets_always_open():
     rng = random.Random(29)
     for seed in range(60):
@@ -146,6 +158,33 @@ def test_countermodel_examples():
     assert found is not None and len(found.system) <= 2
     truth = evaluate(found.system, found.valuation, parse("X p -> p"))
     assert found.point not in truth
+
+
+# First hits of the canonical search order: system, valuation, point.
+_FIRST_HITS = {
+    "X p -> p": ('{"elements": ["e0", "e1"], "map": {"e0": "e0", "e1": "e0"}, '
+                 '"order": [], "valuation": {"p": ["e0"]}}', "e1"),
+    "<>p -> p": ('{"elements": ["e0", "e1"], "map": {"e0": "e0", "e1": "e0"}, '
+                 '"order": [], "valuation": {"p": ["e0"]}}', "e1"),
+    "E p -> <>p": ('{"elements": ["e0", "e1"], "map": {"e0": "e0", "e1": "e0"}, '
+                   '"order": [], "valuation": {"p": ["e1"]}}', "e0"),
+    "p -> X p": ('{"elements": ["e0", "e1"], "map": {"e0": "e0", "e1": "e0"}, '
+                 '"order": [], "valuation": {"p": ["e1"]}}', "e1"),
+    "(p -> q) | (q -> p)": (
+        '{"elements": ["e0", "e1", "e2"], "map": {"e0": "e0", "e1": "e0", "e2": "e0"}, '
+        '"order": [["e1", "e0"], ["e2", "e0"]], "valuation": {"p": ["e1"], "q": ["e2"]}}',
+        "e0"),
+    "~~X p -> X ~~p": (
+        '{"elements": ["e0", "e1", "e2"], "map": {"e0": "e0", "e1": "e1", "e2": "e1"}, '
+        '"order": [["e1", "e0"], ["e2", "e0"]], "valuation": {"p": ["e1"]}}', "e0"),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_FIRST_HITS))
+def test_countermodel_first_hit_is_pinned(text):
+    found = find_countermodel(parse(text), 3)
+    data = system_to_json(found.system, found.valuation)
+    assert (json.dumps(data, sort_keys=True), found.point) == _FIRST_HITS[text]
 
 
 def test_countermodel_cap_distinct_from_none():

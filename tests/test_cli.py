@@ -1,4 +1,5 @@
 import json
+import time
 
 import itlc
 from itlc.cli import run
@@ -159,3 +160,24 @@ def test_certificate_and_extract_share_quasimodel_keys(capsys):
     assert run(["extract", FIXTURE, "(X p -> X q) -> X(p -> q)", "--format", "json"]) == 1
     extracted = json.loads(capsys.readouterr().out)
     assert list(extracted) == shared + ["falsified"]
+
+
+def test_countermodel_honours_timeout(capsys):
+    # the 4-point search takes about a second without the timeout
+    assert run(["countermodel", FLAGSHIP, "--max-points", "4", "--timeout", "0.01"]) == 3
+    assert "timeout" in capsys.readouterr().err
+
+
+def test_valid_honours_timeout(capsys):
+    # 5 atoms over the fixture's opens: about a second without the timeout
+    assert run(["valid", FIXTURE, "p1 & p2 & p3 & p4 & p5 -> p1", "--timeout", "0.01"]) == 3
+    assert "timeout" in capsys.readouterr().err
+
+
+def test_countermodel_max_systems_trips_during_enumeration(capsys):
+    # 9,740 systems have at most 4 points, so the cap trips early among
+    # the 5-point ones, before they are all built
+    start = time.monotonic()
+    assert run(["countermodel", "p -> p", "--max-points", "5", "--max-systems", "9800"]) == 3
+    assert time.monotonic() - start < 20
+    assert "9800 systems" in capsys.readouterr().err

@@ -1,4 +1,11 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,3 +201,67 @@ def test_decide_rejects_henceforth_but_checker_accepts():
         itlc.decide(parse("[]p"))
     X, val = itlc.minimal_five()
     itlc.evaluate(X, val, parse("[]p"))  # no error
+
+
+# ---------------------------------------------------------------------------
+# Hashing
+
+def test_equal_formulas_hash_equal():
+    rng = random.Random(61)
+    for _ in range(200):
+        f = random_formula(rng, depth=4)
+        again = parse(format_formula(f))
+        assert again == f and hash(again) == hash(f)
+    text = "A(~p | <>p) -> (~<>p | <>p)"
+    assert hash(parse(text)) == hash(parse(text))
+    assert parse("p & q") != parse("q & p") and parse("p & q") != parse("p | q")
+    assert Atom("p") != "p"
+
+
+def test_hash_distinguishes_node_types():
+    assert len({hash(And(p, q)), hash(Or(p, q)), hash(Implies(p, q))}) == 3
+    assert len({hash(Next(p)), hash(Eventually(p)), hash(Henceforth(p)),
+                hash(Forall(p)), hash(Exists(p))}) == 5
+
+
+def test_cached_hash_is_not_state():
+    f = parse("X p -> p & q")
+    hash(f)
+    assert repr(f) == ("Implies(left=Next(body=Atom(name='p')), "
+                       "right=And(left=Atom(name='p'), right=Atom(name='q')))")
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and hash(copied) == hash(f)
+
+
+def test_unpickled_formula_rehashes_under_this_process():
+    # string hashes differ between processes with different hash seeds, so
+    # a pickled cached hash would miss the dict entry below
+    text = "A(~p | <>p) -> (~<>p | <>p)"
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(itlc.__file__).resolve().parents[1]))
+    script = ("import pickle, sys; from itlc import parse; "
+              f"f = parse({text!r}); hash(f); sys.stdout.buffer.write(pickle.dumps(f))")
+    data = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True).stdout
+    loaded = pickle.loads(data)
+    assert loaded == parse(text)
+    assert {parse(text): "found"}.get(loaded) == "found"
+
+
+def test_nested_biconditionals_stay_linear():
+    chain = "p"
+    for _ in range(40):
+        chain = f"(q <-> {chain})"
+    # the twin compares two separately parsed, equal chains, and adds
+    # only c -> c and (c -> c) & (c -> c) to the chain c's closure
+    for text, size in ((chain, 3 * 40 + 2), (f"{chain} <-> {chain}", 3 * 40 + 4)):
+        start = time.perf_counter()
+        reduced = eliminate_exists(parse(text))
+        assert in_diamond_fragment(reduced)
+        sigma = itlc.subformula_closure(reduced)
+        assert time.perf_counter() - start < 1.0
+        assert len(sigma) == size  # per level: two implications, one conjunction
+    start = time.perf_counter()
+    assert parse(chain) == parse(chain) and parse(chain) != parse(chain.replace("p", "r"))
+    assert time.perf_counter() - start < 1.0
