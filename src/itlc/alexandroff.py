@@ -19,10 +19,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import time
 from dataclasses import dataclass
 
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import CapExceeded, SchemaError
 from .formula import (And, Atom, Bottom, Eventually, Exists, Forall, Formula,
                       Henceforth, Implies, Next, Or, children, subformulas)
@@ -327,8 +326,8 @@ def is_valid_on_system(X: FiniteSystem, f: Formula, caps: Caps = DEFAULT_CAPS) -
         raise CapExceeded(f"{total} valuations exceed the cap")
     tables = _Tables(X)
     for k, combo in enumerate(itertools.product(opens, repeat=len(atoms))):
-        if deadline is not None and k % 256 == 0 and time.monotonic() > deadline:
-            raise CapExceeded(f"validity check passed the {caps.timeout} s timeout")
+        if k % 256 == 0:
+            deadline.check("validity check")
         valuation = dict(zip(atoms, combo))
         if _evaluate_mask(tables, valuation, program, {}) != tables.full:
             return False
@@ -343,10 +342,14 @@ def enumerate_posets(n: int) -> list[FinitePoset]:
     return list(_posets(n))
 
 
-def _posets(n: int):
+def _posets(n: int, deadline: Deadline = NO_DEADLINE):
+    """Filter every relation bit pattern; the deadline is checked once per
+    block of patterns, since long runs of them are not posets."""
     names = tuple(_element_names(n))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
+    for k, bits in enumerate(itertools.product((0, 1), repeat=len(pairs))):
+        if k % 4096 == 0:
+            deadline.check("poset enumeration")
         down = [1 << i for i in range(n)]
         for (i, j), take in zip(pairs, bits):
             if take:
@@ -386,8 +389,8 @@ def enumerate_systems(n: int) -> list[FiniteSystem]:
     return list(_systems(n))
 
 
-def _systems(n: int):
-    for poset in _posets(n):
+def _systems(n: int, deadline: Deadline = NO_DEADLINE):
+    for poset in _posets(n, deadline):
         for f in monotone_maps(poset):
             yield FiniteSystem(poset, f)
 
@@ -414,12 +417,11 @@ def find_countermodel(f: Formula, max_points: int,
     atoms = _atoms(program)
     examined = 0
     for n in range(1, max_points + 1):
-        for X in _systems(n):
+        for X in _systems(n, deadline):
             examined += 1
             if examined > caps.max_systems:
                 raise CapExceeded(f"countermodel search passed {caps.max_systems} systems")
-            if deadline is not None and time.monotonic() > deadline:
-                raise CapExceeded(f"countermodel search passed the {caps.timeout} s timeout")
+            deadline.check("countermodel search")
             opens = open_masks(X)
             tables = _Tables(X)
             for combo in itertools.product(opens, repeat=len(atoms)):

@@ -9,37 +9,51 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .errors import CapExceeded
+
 
 @dataclass(frozen=True)
 class Caps:
     """Limits for enumeration and search.
 
-    max_moments     accepted irreducible moments before enumeration is cut off
-    max_candidates  candidate grafts examined before enumeration is cut off
-                    (defaults to 4x max_moments)
-    max_height      tallest moment generated; None means the structural bound
-                    #Sigma + 1, which never truncates the enumeration
+    max_moments     accepted irreducible moments before enumeration is cut off;
+                    generation also stops after examining 4x as many candidates
     max_valuations  evaluation budget for exhaustive valuation search
     max_systems     systems examined during countermodel search
-    timeout         wall-clock seconds for a single decide/search call
+    timeout         wall-clock seconds for a single decide, enumerate, extract,
+                    valid or countermodel call; deadline() starts its clock,
+                    and every loop of the call that can grow superlinearly
+                    checks it (None: no limit)
     jobs            accepted for compatibility and ignored: profiles are
                     searched in order on one thread, since threads gave
                     no speed-up under the interpreter lock
     """
 
     max_moments: int = 50_000
-    max_candidates: int | None = None
-    max_height: int | None = None
     max_valuations: int = 2**20
     max_systems: int = 200_000
     timeout: float | None = None
     jobs: int = 1
 
-    def candidate_budget(self) -> int:
-        return self.max_candidates if self.max_candidates is not None else 4 * self.max_moments
+    def deadline(self) -> Deadline:
+        return Deadline(self.timeout)
 
-    def deadline(self) -> float | None:
-        return None if self.timeout is None else time.monotonic() + self.timeout
+
+class Deadline:
+    """The end of one call's timeout; check(what) raises CapExceeded once it
+    has passed, naming the loop that noticed.  Without a timeout it never
+    trips."""
+
+    __slots__ = ("timeout", "_end")
+
+    def __init__(self, timeout: float | None):
+        self.timeout = timeout
+        self._end = None if timeout is None else time.monotonic() + timeout
+
+    def check(self, what: str) -> None:
+        if self._end is not None and time.monotonic() >= self._end:
+            raise CapExceeded(f"{what} passed the {self.timeout} s timeout")
 
 
 DEFAULT_CAPS = Caps()
+NO_DEADLINE = Deadline(None)

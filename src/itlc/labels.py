@@ -13,9 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .config import NO_DEADLINE, Deadline
 from .errors import SigmaMismatchError
 from .formula import (And, Bottom, Eventually, Forall, Formula, Implies,
                       Next, Or, children, subformulas)
+
+
+_MASK_BLOCK = 4096
 
 
 class SigmaContext:
@@ -99,11 +103,17 @@ class SigmaContext:
                 return False
         return True
 
-    def type_masks(self) -> tuple[int, ...]:
-        """All type masks in ascending numeric order."""
+    def type_masks(self, deadline: Deadline = NO_DEADLINE) -> tuple[int, ...]:
+        """All type masks in ascending numeric order.  Every mask is tested,
+        and the deadline is checked once per block of masks."""
         if self._type_masks is None:
-            self._type_masks = tuple(m for m in range(1 << len(self.formulas))
-                                     if self.is_type_mask(m))
+            end = 1 << len(self.formulas)
+            found: list[int] = []
+            for start in range(0, end, _MASK_BLOCK):
+                deadline.check("type enumeration")
+                found.extend(filter(self.is_type_mask,
+                                    range(start, min(start + _MASK_BLOCK, end))))
+            self._type_masks = tuple(found)
         return self._type_masks
 
     def defect_indices(self, mask: int) -> tuple[int, ...]:
@@ -218,7 +228,8 @@ def profile_compatible(sigma: SigmaContext, profile: int, mask: int) -> bool:
     return True
 
 
-def viable_types(sigma: SigmaContext, profile: int) -> frozenset[int]:
+def viable_types(sigma: SigmaContext, profile: int,
+                 deadline: Deadline = NO_DEADLINE) -> frozenset[int]:
     """Greatest set of profile-compatible types closed under the survival rules.
 
     Every label occurring anywhere in a serial, eventually-realizing,
@@ -227,13 +238,15 @@ def viable_types(sigma: SigmaContext, profile: int) -> frozenset[int]:
     sensible path of surviving labels, and (c) have, for each of its
     defects, a strictly larger surviving label witnessing the antecedent
     without the consequent.  Pruning to the greatest such set is sound:
-    a type outside it can appear in no such structure.
+    a type outside it can appear in no such structure.  The deadline is
+    checked once per type tested, since each test searches the survivors.
     """
-    alive = {m for m in sigma.type_masks() if profile_compatible(sigma, profile, m)}
+    alive = {m for m in sigma.type_masks(deadline) if profile_compatible(sigma, profile, m)}
     changed = True
     while changed:
         changed = False
         for m in sorted(alive):
+            deadline.check("label viability")
             if not any(sigma.sensible_masks(m, m2) for m2 in alive):
                 alive.discard(m)
                 changed = True

@@ -16,11 +16,10 @@ fixpoint over node pairs.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
-from .config import Caps, DEFAULT_CAPS
-from .errors import KitError, SigmaMismatchError
+from .config import Caps, DEFAULT_CAPS, Deadline
+from .errors import CapExceeded, KitError, SigmaMismatchError
 from .labels import SigmaContext, TypeSet
 
 
@@ -68,19 +67,6 @@ class Moment:
                 subs |= c.subtrees()
             self._subtrees = frozenset(subs)
         return self._subtrees
-
-    def paths(self) -> list[tuple[int, ...]]:
-        """Node addresses in preorder; () is the root."""
-        out = [()]
-        for i, c in enumerate(self.children):
-            out.extend((i,) + p for p in c.paths())
-        return out
-
-    def label_at(self, path: tuple[int, ...]) -> int:
-        m = self
-        for i in path:
-            m = m.children[i]
-        return m.label
 
     def node_labels(self) -> frozenset[int]:
         out = {self.label}
@@ -402,14 +388,9 @@ class MomentStore:
     moments: tuple[Moment, ...]
     complete: bool
     by_height: dict[int, tuple[Moment, ...]] = field(default_factory=dict)
-    allowed_labels: frozenset[int] | None = None
 
     def __len__(self) -> int:
         return len(self.moments)
-
-
-class _CapStop(Exception):
-    pass
 
 
 def _distinct_labels(kids: tuple[Moment, ...]) -> bool:
@@ -439,23 +420,25 @@ class _Generation:
     confirmed by the full irreducibility check.  One grow() call produces one
     height layer, so a caller may interleave generation with its own
     searches and stop early; `capped` records whether a resource limit
-    cut the space off before it was exhausted.
+    cut the space off before it was exhausted.  Labels grow strictly along
+    branches, so no moment is taller than the context size plus one.
+
+    The types are enumerated on construction, which raises CapExceeded if
+    the deadline passes first; a deadline passing during grow() caps the
+    generation instead.
     """
 
     def __init__(self, sigma: SigmaContext, caps: Caps = DEFAULT_CAPS,
-                 allowed_labels=None, deadline: float | None = None):
+                 allowed_labels=None, deadline: Deadline | None = None):
         self.sigma = sigma
         self.caps = caps
         self.deadline = caps.deadline() if deadline is None else deadline
-        self.allowed = None if allowed_labels is None else frozenset(allowed_labels)
-        if self.allowed is not None:
-            self.types = [t for t in sigma.type_masks() if t in self.allowed]
-        else:
-            self.types = list(sigma.type_masks())
-        natural = len(sigma) + 1
-        self.max_height = caps.max_height if caps.max_height is not None else natural
-        self.natural_height = natural
-        self.budget = caps.candidate_budget()
+        types = sigma.type_masks(self.deadline)
+        if allowed_labels is not None:
+            allowed = frozenset(allowed_labels)
+            types = [t for t in types if t in allowed]
+        self.types = list(types)
+        self.budget = 4 * caps.max_moments
         self.examined = 0
         self.count = 0
         self.capped = False
@@ -467,10 +450,9 @@ class _Generation:
     def _spend(self) -> None:
         self.examined += 1
         if self.count >= self.caps.max_moments or self.examined >= self.budget:
-            raise _CapStop
-        if (self.deadline is not None and self.examined % 256 == 0
-                and time.monotonic() > self.deadline):
-            raise _CapStop
+            raise CapExceeded("moment cap reached")
+        if self.examined % 256 == 0:
+            self.deadline.check("moment generation")
 
     def grow(self) -> list[Moment]:
         """Generate the next height layer; [] once the space is exhausted
@@ -479,18 +461,14 @@ class _Generation:
             return []
         try:
             fresh = self._next_layer()
-        except _CapStop:
+        except CapExceeded:
             self.capped = True
             self.by_height.setdefault(self.height, [])
             return []
         self.by_height[self.height] = fresh
         self.accepted.extend(fresh)
-        if not fresh:
+        if not fresh or self.height > len(self.sigma):
             self.exhausted = True
-        elif self.height >= self.max_height:
-            self.exhausted = True
-            if self.max_height < self.natural_height:
-                self.capped = True
         return fresh
 
     def _next_layer(self) -> list[Moment]:
@@ -540,7 +518,6 @@ class _Generation:
             complete=not self.capped,
             by_height={h: tuple(sorted(ms, key=lambda m: m.key))
                        for h, ms in self.by_height.items()},
-            allowed_labels=self.allowed,
         )
 
 
@@ -551,7 +528,8 @@ def enumerate_irreducibles(sigma: SigmaContext, caps: Caps = DEFAULT_CAPS,
     Generation stops once a layer comes out empty (labels grow strictly
     along branches, so no irreducible is taller than the context size
     plus one) or when a cap trips, in which case the store is flagged
-    incomplete.
+    incomplete.  A timeout that passes while the types are enumerated,
+    before any moment exists, raises CapExceeded instead.
 
     allowed_labels optionally restricts node labels to a subset of the
     types; the result is then every irreducible all of whose node labels

@@ -21,20 +21,19 @@ re-verified from raw data before being reported.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
                      ItlcError, SchemaError)
 from .formula import (Forall, Formula, eliminate_exists, format_formula,
                       in_diamond_fragment, parse)
 from .labels import (SigmaContext, profile_compatible, profile_masks, reaches,
                      subformula_closure, viable_types)
-from .moments import (Moment, MomentStore, _Generation, below, check_kit,
-                      enumerate_irreducibles, moment, temporal_successor)
+from .moments import (Moment, MomentStore, _Generation, below, check_kit, moment,
+                      temporal_successor)
 
 
 @dataclass(frozen=True)
@@ -188,12 +187,11 @@ def prune_profile(store: MomentStore, profile, order=None) -> Quasimodel:
     is unrealizable along surviving successors.  Removal order never
     affects the result; `order` exists so tests can demonstrate that.
     """
-    return _prune(store.sigma, store.moments,
-                  _profile_mask(store.sigma, profile), order, None)
+    return _prune(store.sigma, store.moments, _profile_mask(store.sigma, profile), order)
 
 
 def _prune(sigma: SigmaContext, moments, mask: int, order=None,
-           deadline: float | None = None) -> Quasimodel:
+           deadline: Deadline = NO_DEADLINE) -> Quasimodel:
     carrier = tuple(sorted({m for m in moments
                             if all(profile_compatible(sigma, mask, l) for l in m.node_labels())},
                            key=lambda m: m.key))
@@ -214,8 +212,7 @@ def _prune(sigma: SigmaContext, moments, mask: int, order=None,
     sweep = range(len(carrier)) if order is None else [index[m] for m in order if m in index]
     changed = True
     while changed:
-        if deadline is not None and time.monotonic() > deadline:
-            raise CapExceeded("profile pruning ran out of time")
+        deadline.check("profile pruning")
         changed = False
         for i in sweep:
             if i in alive and not survives(i):
@@ -227,13 +224,11 @@ def _prune(sigma: SigmaContext, moments, mask: int, order=None,
     return Quasimodel(sigma, tuple(carrier[i] for i in kept), edges, mask)
 
 
-def _successor_lists(moments: tuple[Moment, ...],
-                     deadline: float | None) -> list[list[int]]:
+def _successor_lists(moments: tuple[Moment, ...], deadline: Deadline) -> list[list[int]]:
     """For each moment, the indices of the moments that can follow it."""
     rows = []
     for v in moments:
-        if deadline is not None and time.monotonic() > deadline:
-            raise CapExceeded("successor construction ran out of time")
+        deadline.check("successor construction")
         rows.append([j for j, w in enumerate(moments) if temporal_successor(v, w)])
     return rows
 
@@ -390,27 +385,10 @@ def _moment_from_json(sigma: SigmaContext, data, where: str) -> Moment:
 
 def certificate_from_json(data: dict, target: Formula) -> Certificate:
     """Rebuild a certificate from its JSON form, canonicalizing world ids."""
-    check = verify_certificate(data, target)
-    if not check:
-        raise SchemaError(f"certificate invalid: {check.reason}")
-    reduced = eliminate_exists(target)
-    sigma = subformula_closure(reduced)
-    by_id = {w["id"]: _moment_from_json(sigma, w["moment"], "worlds")
-             for w in data["worlds"]}
-    worlds = tuple(sorted(by_id.values(), key=lambda m: m.key))
-    idx = {m: i for i, m in enumerate(worlds)}
-    remap = {wid: idx[m] for wid, m in by_id.items()}
-    edges = frozenset((remap[a], remap[b]) for a, b in data["s_edges"])
-    profile = 0
-    for i in data["profile"]:
-        profile |= 1 << i
-    lassos = {remap[int(k)]: Lasso(tuple(remap[i] for i in v["prefix"]),
-                                   tuple(remap[i] for i in v["loop"]))
-              for k, v in data["lassos"].items()}
-    return Certificate(target=target,
-                       quasimodel=Quasimodel(sigma, worlds, edges, profile),
-                       witness=remap[data["witness"]],
-                       lassos=lassos)
+    outcome = _decode(data, target)
+    if isinstance(outcome, Check):
+        raise SchemaError(f"certificate invalid: {outcome.reason}")
+    return outcome
 
 
 def verify_certificate(cert, target: Formula) -> Check:
@@ -421,6 +399,13 @@ def verify_certificate(cert, target: Formula) -> Check:
     order is recomputed, and the edge, honesty, witness and lasso
     conditions are all checked directly.
     """
+    outcome = _decode(cert, target)
+    return outcome if isinstance(outcome, Check) else Check(True)
+
+
+def _decode(cert, target: Formula) -> Check | Certificate:
+    """The certificate rebuilt over canonical world indices, or a failed
+    Check naming the first violated condition."""
     data = cert.to_json_dict() if isinstance(cert, Certificate) else cert
     try:
         return _verify(data, target)
@@ -428,7 +413,7 @@ def verify_certificate(cert, target: Formula) -> Check:
         return Check(False, f"malformed certificate: {err}")
 
 
-def _verify(data: dict, target: Formula) -> Check:
+def _verify(data: dict, target: Formula) -> Check | Certificate:
     if parse(data["target"]) != target:
         return Check(False, "target mismatch")
     reduced = eliminate_exists(target)
@@ -483,10 +468,11 @@ def _verify(data: dict, target: Formula) -> Check:
     if not q.root_lacks(witness, sigma.index[reduced]):
         return Check(False, "witness root label contains the target")
 
-    lassos = data["lassos"]
+    original = {j: wid for wid, j in remap.items()}
+    lassos = {}
     for i in range(len(worlds)):
-        orig = next(wid for wid, j in remap.items() if j == i)
-        entry = lassos.get(str(orig))
+        orig = original[i]
+        entry = data["lassos"].get(str(orig))
         if entry is None:
             return Check(False, f"world {orig} has no lasso")
         lasso = Lasso(tuple(remap[k] for k in entry["prefix"]),
@@ -494,7 +480,8 @@ def _verify(data: dict, target: Formula) -> Check:
         problem = _lasso_problem(q, i, lasso)
         if problem is not None:
             return Check(False, f"lasso for world {orig}: {problem}")
-    return Check(True)
+        lassos[i] = lasso
+    return Certificate(target, q, witness, lassos)
 
 
 def save_certificate(cert: Certificate, path) -> None:
@@ -541,7 +528,8 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     fixpoint over a subtree-closed partial carrier is already a
     quasimodel.  VALID is reported only when every profile was
     conclusively refuted, either at the type level or by an exhausted
-    generation; a capped search falls back to RESOURCE_LIMIT.
+    generation; a capped search, or one that runs past the timeout at any
+    stage, falls back to RESOURCE_LIMIT.
     """
     reduced = eliminate_exists(target)
     if not in_diamond_fragment(reduced):
@@ -554,22 +542,20 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     forall_bodies = dict(sigma.forall_pairs)
 
     outcomes = {}
-    needing: list[tuple[int, frozenset[int]]] = []
-    for profile in profile_masks(sigma):
-        viable = viable_types(sigma, profile)
-        if _type_witness(sigma, profile, viable, target_idx, forall_bodies):
-            needing.append((profile, viable))
-        else:
-            outcomes[profile] = "refuted by label viability"
-    if not needing:
-        return Verdict("VALID", None, True, _outcome_list(sigma, outcomes))
-
-    allowed = frozenset().union(*(v for _, v in needing))
-    generation = _Generation(sigma, caps, allowed_labels=allowed, deadline=deadline)
-    profiles = [p for p, _ in needing]
-
-    capped = False
     try:
+        needing: list[tuple[int, frozenset[int]]] = []
+        for profile in profile_masks(sigma):
+            viable = viable_types(sigma, profile, deadline)
+            if _type_witness(sigma, profile, viable, target_idx, forall_bodies):
+                needing.append((profile, viable))
+            else:
+                outcomes[profile] = "refuted by label viability"
+        if not needing:
+            return Verdict("VALID", None, True, _outcome_list(sigma, outcomes))
+
+        allowed = frozenset().union(*(v for _, v in needing))
+        generation = _Generation(sigma, caps, allowed_labels=allowed, deadline=deadline)
+        profiles = [p for p, _ in needing]
         while generation.grow():
             carrier = generation.snapshot()
             for profile in profiles:
@@ -577,25 +563,29 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
                 witness = _moment_witness(q, sigma, profile, target_idx, forall_bodies)
                 if witness is None:
                     continue
-                outcomes[profile] = "falsifiable"
-                for other in profiles:
-                    outcomes.setdefault(other, "not settled before falsification")
-                lassos = {i: build_realizing_path(q, i) for i in range(len(q.worlds))}
+                lassos = {}
+                for i in range(len(q.worlds)):
+                    deadline.check("lasso construction")
+                    lassos[i] = build_realizing_path(q, i)
                 cert = Certificate(target=target, quasimodel=q,
                                    witness=witness, lassos=lassos)
                 confirmed = verify_certificate(cert, target)
                 if not confirmed:
                     raise InvariantViolation(
                         f"emitted certificate failed: {confirmed.reason}")
+                outcomes[profile] = "falsifiable"
+                for other in profiles:
+                    outcomes.setdefault(other, "not settled before falsification")
                 return Verdict("FALSIFIABLE", cert, True,
                                _outcome_list(sigma, outcomes))
+        capped = generation.capped
     except CapExceeded:
         capped = True
-    capped = capped or generation.capped
 
-    for profile in profiles:
-        outcomes[profile] = ("inconclusive (capped)" if capped
-                             else "no witness in complete enumeration")
+    # outcomes holds only viability refutations here
+    for profile in profile_masks(sigma):
+        outcomes.setdefault(profile, "inconclusive (capped)" if capped
+                            else "no witness in complete enumeration")
     if not capped:
         return Verdict("VALID", None, True, _outcome_list(sigma, outcomes))
     return Verdict("RESOURCE_LIMIT", None, False, _outcome_list(sigma, outcomes))
@@ -662,16 +652,18 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
             raise InvariantViolation(f"point {name} carries a non-type label")
         point_labels.append(mask)
 
-    store = enumerate_irreducibles(sigma, caps,
-                                   allowed_labels=frozenset(point_labels))
-    if not store.complete:
+    generation = _Generation(sigma, caps, point_labels, deadline)
+    while generation.grow():
+        pass
+    if generation.capped:
         raise CapExceeded("irreducible enumeration over the point labels was cut off")
 
     n = len(system.names)
-    alive: set[tuple[Moment, int]] = {(m, x) for m in store.moments for x in range(n)
-                                      if m.label == point_labels[x]}
+    alive: set[tuple[Moment, int]] = {(m, x) for m in generation.snapshot()
+                                      for x in range(n) if m.label == point_labels[x]}
     changed = True
     while changed:
+        deadline.check("simulation pruning")
         changed = False
         for m, x in sorted(alive, key=lambda p: (p[0].key, p[1])):
             down = system.down[x]

@@ -4,11 +4,12 @@ import random
 import pytest
 
 import itlc
-from itlc.alexandroff import (Analysis, analyze, closure, enumerate_posets,
+from itlc.alexandroff import (Analysis, _posets, analyze, closure, enumerate_posets,
                               enumerate_systems, evaluate, find_countermodel,
                               interior, is_valid_on_system, open_masks,
                               random_system, system, system_from_json,
                               system_to_json)
+from itlc.config import Deadline
 from itlc.formula import parse
 
 from oracles import truth_oracle
@@ -235,6 +236,12 @@ def test_enumerate_systems_counts():
     assert len(enumerate_systems(1)) == 1
     assert len(enumerate_systems(2)) == 10
     assert len(enumerate_posets(3)) == 19
+
+
+def test_expired_deadline_stops_poset_walk():
+    # n = 6 walks 2^30 relation patterns, far apart from one system to the next
+    with pytest.raises(itlc.CapExceeded, match="poset enumeration passed"):
+        next(_posets(6, Deadline(0)))
 
 
 def test_json_round_trip(tmp_path, fixture_system):

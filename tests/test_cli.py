@@ -1,8 +1,14 @@
+import io
 import json
+import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings, strategies as st
 
 import itlc
 from itlc.cli import run
+from itlc.formula import DIAMOND_FRAGMENT, Modality, format_formula, random_formula
 
 FIXTURE = "fixtures/minimal5.json"
 FLAGSHIP = "A(~p | <>p) -> (~<>p | <>p)"
@@ -181,3 +187,43 @@ def test_countermodel_max_systems_trips_during_enumeration(capsys):
     assert run(["countermodel", "p -> p", "--max-points", "5", "--max-systems", "9800"]) == 3
     assert time.monotonic() - start < 20
     assert "9800 systems" in capsys.readouterr().err
+
+
+def test_decide_timeout_covers_type_enumeration(capsys):
+    # 26 subformulas: testing all 2^26 masks takes about 30 s unchecked
+    wide = " | ".join(f"p{i}" for i in range(1, 14)) + " -> p1"
+    start = time.monotonic()
+    assert run(["decide", wide, "--timeout", "0.5", "--format", "json"]) == 3
+    assert time.monotonic() - start < 5
+    assert json.loads(capsys.readouterr().out) == {"verdict": "RESOURCE_LIMIT",
+                                                   "complete": False}
+
+
+_FUZZ_TOKENS = ("p", "q", "r", "~", "&", "|", "->", "<->", "X", "<>", "[]", "A", "E",
+                "(", ")", "<", "-", "]", "?", "0")
+_FUZZ_TIMEOUT = 0.5
+
+_FORMULA_TEXTS = st.one_of(
+    st.builds(lambda seed, depth, modalities: format_formula(
+                  random_formula(random.Random(seed), depth, ("p", "q", "r"), modalities)),
+              st.integers(0, 10**9), st.integers(1, 5),
+              st.sampled_from([DIAMOND_FRAGMENT, DIAMOND_FRAGMENT, frozenset(Modality)])),
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=12).map(" ".join),
+    st.text(max_size=16),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_FORMULA_TEXTS)
+def test_decide_fuzz_keeps_the_exit_code_contract(text):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["decide", "--format", "json", "--timeout", str(_FUZZ_TIMEOUT),
+                    "--max-moments", "2000", "--", text])
+    assert time.monotonic() - start < _FUZZ_TIMEOUT + 10
+    assert code in {0, 1, 2, 3}, err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+    else:
+        json.loads(out.getvalue())

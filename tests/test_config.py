@@ -1,0 +1,22 @@
+import dataclasses
+import time
+
+import pytest
+
+import itlc
+from itlc.config import Deadline
+
+
+def test_caps_fields():
+    assert [f.name for f in dataclasses.fields(itlc.Caps)] == [
+        "max_moments", "max_valuations", "max_systems", "timeout", "jobs"]
+
+
+def test_deadline_trips_once_its_time_has_passed():
+    with pytest.raises(itlc.CapExceeded, match=r"^type enumeration passed the 0 s timeout$"):
+        Deadline(0).check("type enumeration")
+    deadline = itlc.Caps(timeout=0.05).deadline()
+    deadline.check("early")
+    time.sleep(0.1)
+    with pytest.raises(itlc.CapExceeded, match="late passed the 0.05 s timeout"):
+        deadline.check("late")

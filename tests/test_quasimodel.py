@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 
@@ -252,7 +253,7 @@ def test_decide_exhaustion_backstop(monkeypatch):
     # falsifiability on the layered search
     monkeypatch.setattr(
         itlc.quasimodel, "viable_types",
-        lambda sigma, profile: frozenset(
+        lambda sigma, profile, deadline: frozenset(
             t for t in sigma.type_masks()
             if itlc.labels.profile_compatible(sigma, profile, t)))
     verdict = decide(parse("p -> p"))
@@ -339,3 +340,51 @@ def test_extract_agreement_on_random_systems():
                            if itlc.evaluate(X, val, g) != full}
         assert set(falsified_members(q)) == model_falsified
         checked += 1
+
+
+def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system):
+    clocks = []
+
+    class Recording(itlc.config.Deadline):
+        def __init__(self, timeout):
+            super().__init__(timeout)
+            self.seen = set()
+            clocks.append(self)
+
+        def check(self, what):
+            self.seen.add(what)
+            super().check(what)
+
+    monkeypatch.setattr(itlc.config, "Deadline", Recording)
+    assert decide(parse("X ~p <-> ~X p")).kind == "FALSIFIABLE"
+    assert len(clocks) == 1
+    assert clocks[0].seen == {"type enumeration", "label viability", "successor construction",
+                              "profile pruning", "lasso construction"}
+
+    clocks.clear()
+    enumerate_irreducibles(subformula_closure(parse("X ~p <-> ~X p")),
+                           itlc.Caps(max_moments=2000))
+    assert len(clocks) == 1
+    assert clocks[0].seen == {"type enumeration", "moment generation"}
+
+    clocks.clear()
+    X, val = fixture_system
+    extract_quasimodel(X, val, subformula_closure(parse("(X p -> X q) -> X(p -> q)")))
+    assert len(clocks) == 1
+    assert clocks[0].seen >= {"type enumeration", "simulation pruning",
+                              "successor construction"}
+
+
+def test_decoded_certificate_reads_back_its_own_json(flagship):
+    cert = decide(flagship).certificate
+    data = json.loads(cert.to_json_text())
+    data["worlds"].reverse()
+    for w in data["worlds"]:
+        w["id"] += 100
+    for key in ("order", "s_edges"):
+        data[key] = [[a + 100, b + 100] for a, b in data[key]]
+    data["witness"] += 100
+    data["lassos"] = {str(int(k) + 100): {part: [i + 100 for i in v[part]] for part in v}
+                      for k, v in data["lassos"].items()}
+    assert verify_certificate(data, flagship)
+    assert itlc.certificate_from_json(data, flagship) == cert
