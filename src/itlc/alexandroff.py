@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
-from .errors import CapExceeded, SchemaError
+from .errors import CapExceeded, SchemaError, read_json
 from .formula import (And, Atom, Bottom, Eventually, Exists, Forall, Formula,
                       Henceforth, Implies, Next, Or, children, subformulas)
 
@@ -311,8 +311,13 @@ def evaluate(X: FiniteSystem, valuation, f: Formula) -> frozenset[str]:
 
 
 def open_masks(X: FiniteSystem) -> list[int]:
-    """All downward closed subsets, ascending as bitmasks."""
-    return [m for m in range(1 << len(X)) if _interior_mask(X, m) == m]
+    """All downward closed subsets, ascending as bitmasks.  Points are
+    added in order of cone size, each to every set that already holds the
+    rest of its cone."""
+    opens = [0]
+    for i in sorted(range(len(X)), key=lambda i: X.down[i].bit_count()):
+        opens += [m | 1 << i for m in opens if X.down[i] & ~m == 1 << i]
+    return sorted(opens)
 
 
 def is_valid_on_system(X: FiniteSystem, f: Formula, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -343,37 +348,36 @@ def enumerate_posets(n: int) -> list[FinitePoset]:
 
 
 def _posets(n: int, deadline: Deadline = NO_DEADLINE):
-    """Filter every relation bit pattern; the deadline is checked once per
-    block of patterns, since long runs of them are not posets."""
+    """Posets in the order of their relation bits, one per pair (i, j),
+    i != j, meaning i below j: the up-sets of 0, 1, ... are chosen in
+    turn, and a branch is kept only while they are antisymmetric and
+    transitive among themselves (b above a needs up(b) within up(a)).
+    The deadline is checked at every step of the walk."""
     names = tuple(_element_names(n))
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for k, bits in enumerate(itertools.product((0, 1), repeat=len(pairs))):
-        if k % 4096 == 0:
-            deadline.check("poset enumeration")
-        down = [1 << i for i in range(n)]
-        for (i, j), take in zip(pairs, bits):
-            if take:
-                down[j] |= 1 << i  # i below j
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if down[j] >> i & 1:
-                    if down[i] & ~down[j]:
-                        ok = False
-                        break
-                    if i != j and down[i] >> j & 1:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            yield FinitePoset(names, tuple(down))
+    # the possible up-sets of each element, ordered by their bits for j = 0, 1, ...
+    choices = [sorted((m for m in range(1 << n) if not m >> i & 1),
+                      key=lambda m: [m >> j & 1 for j in range(n)]) for i in range(n)]
+
+    def extend(up):
+        deadline.check("poset enumeration")
+        i = len(up)
+        if i == n:
+            yield FinitePoset(names, tuple(1 << j | sum(1 << a for a in range(n) if up[a] >> j & 1)
+                                           for j in range(n)))
+            return
+        for mask in choices[i]:
+            if all(not (up[a] >> i & 1 and mask & ~up[a] or
+                        mask >> a & 1 and up[a] & ~mask) for a in range(i)):
+                yield from extend(up + (mask,))
+
+    return extend(())
 
 
-def monotone_maps(poset: FinitePoset) -> list[tuple[int, ...]]:
-    n = len(poset)
+def monotone_maps(poset: FinitePoset):
+    """The monotone self-maps of a poset, lazily, in product order."""
     is_monotone = _monotonicity_test(poset)
-    return [f for f in itertools.product(range(n), repeat=n) if is_monotone(f)]
+    return (f for f in itertools.product(range(len(poset)), repeat=len(poset))
+            if is_monotone(f))
 
 
 def _monotonicity_test(poset: FinitePoset):
@@ -569,6 +573,12 @@ def system_to_json(X: FiniteSystem, valuation=None) -> dict:
     return data
 
 
+def _names(value, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"{where}: expected a list of element names")
+    return value
+
+
 def system_from_json(data: dict):
     """Parse and validate the system file shape; returns (system, valuation)."""
     if not isinstance(data, dict):
@@ -576,21 +586,26 @@ def system_from_json(data: dict):
     for field in ("elements", "order", "map"):
         if field not in data:
             raise SchemaError(f"missing field {field!r}")
-    X = system(data["elements"], [tuple(p) for p in data["order"]], data["map"])
+    elements, order, mapping = data["elements"], data["order"], data["map"]
+    if not _names(elements, "elements"):
+        raise SchemaError("elements: a system needs at least one point")
+    if not isinstance(order, list) or any(len(_names(p, "order")) != 2 for p in order):
+        raise SchemaError("order: expected a list of [below, above] name pairs")
+    if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+        raise SchemaError("map: expected an object from element names to names")
+    X = system(elements, order, mapping)
     valuation = None
     if "valuation" in data:
-        valuation = {}
-        for atom, members in data["valuation"].items():
-            mask = X.mask_of(members)
-            if _interior_mask(X, mask) != mask:
-                raise SchemaError(f"valuation.{atom}: not downward closed")
-            valuation[atom] = X.names_of(mask)
+        if not isinstance(data["valuation"], dict):
+            raise SchemaError("valuation: expected an object from atoms to element lists")
+        masks = _valuation_masks(X, {atom: _names(members, f"valuation.{atom}")
+                                     for atom, members in data["valuation"].items()})
+        valuation = {atom: X.names_of(mask) for atom, mask in masks.items()}
     return X, valuation
 
 
 def load_system(path):
-    with open(path, encoding="utf-8") as fh:
-        return system_from_json(json.load(fh))
+    return system_from_json(read_json(path))
 
 
 def save_system(X: FiniteSystem, valuation, path) -> None:

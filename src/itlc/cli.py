@@ -17,9 +17,8 @@ import sys
 from . import alexandroff, quasimodel
 from .config import Caps, DEFAULT_CAPS
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
-                     ItlcError, ParseError, SchemaError)
-from .formula import eliminate_exists, format_formula, in_diamond_fragment, parse
-from .labels import subformula_closure
+                     ItlcError, ParseError, SchemaError, read_json)
+from .formula import Atom, format_formula, parse, subformulas
 from .moments import enumerate_irreducibles
 
 EXIT_OK = 0
@@ -154,15 +153,21 @@ def _cmd_decide(args) -> int:
     return EXIT_RESOURCE
 
 
-def _cmd_check(args) -> int:
-    X, valuation = alexandroff.load_system(args.system)
+def _valued_system(path, f):
+    """The system of a file and its valuation, which must cover f's atoms."""
+    X, valuation = alexandroff.load_system(path)
     if valuation is None:
         raise SchemaError("system file carries no valuation")
+    for g in subformulas(f):
+        if isinstance(g, Atom) and g.name not in valuation:
+            raise SchemaError(f"valuation: no entry for atom {g.name!r}")
+    return X, valuation
+
+
+def _cmd_check(args) -> int:
     f = parse(args.formula)
-    try:
-        truth = alexandroff.evaluate(X, valuation, f)
-    except KeyError as err:
-        raise SchemaError(f"valuation missing an atom: {err}") from None
+    X, valuation = _valued_system(args.system, f)
+    truth = alexandroff.evaluate(X, valuation, f)
     failing = [name for name in X.names if name not in truth]
     if args.format == "json":
         _emit(json.dumps({"holds": not failing, "failing": failing}, indent=2))
@@ -212,14 +217,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    X, valuation = alexandroff.load_system(args.system)
-    if valuation is None:
-        raise SchemaError("system file carries no valuation")
     f = parse(args.formula)
-    reduced = eliminate_exists(f)
-    if not in_diamond_fragment(reduced):
-        raise FragmentError("extraction needs a next/eventually/forall formula")
-    sigma = subformula_closure(reduced)
+    X, valuation = _valued_system(args.system, f)
+    reduced, sigma = quasimodel.fragment_context(f)
     q = quasimodel.extract_quasimodel(X, valuation, sigma, _caps(args))
     payload = q.to_json_dict()
     payload["falsified"] = [format_formula(f) for f in quasimodel.falsified_members(q)]
@@ -236,10 +236,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.certificate, encoding="utf-8") as fh:
-        data = json.load(fh)
-    f = parse(args.formula)
-    outcome = quasimodel.verify_certificate(data, f)
+    outcome = quasimodel.verify_certificate(read_json(args.certificate), parse(args.formula))
     if outcome:
         _emit("certificate verified")
         return EXIT_OK
@@ -248,11 +245,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    f = parse(args.sigma)
-    reduced = eliminate_exists(f)
-    if not in_diamond_fragment(reduced):
-        raise FragmentError("enumeration needs a next/eventually/forall formula")
-    sigma = subformula_closure(reduced)
+    _, sigma = quasimodel.fragment_context(parse(args.sigma))
     store = enumerate_irreducibles(sigma, _caps(args))
     _emit(f"context: {len(sigma)} formulas, {len(sigma.type_masks())} types")
     for height in sorted(store.by_height):
@@ -294,10 +287,7 @@ def run(argv) -> int:
         return EXIT_USAGE if err.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, SchemaError, FragmentError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as err:
+    except (ParseError, SchemaError, FragmentError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as err:

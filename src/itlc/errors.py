@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one reader of
+JSON files, which reports a file that is no JSON document as SchemaError."""
+
+import json
 
 
 class ItlcError(Exception):
@@ -35,3 +38,12 @@ class CapExceeded(ItlcError):
 
 class InvariantViolation(ItlcError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def read_json(path):
+    """The JSON document in a file; SchemaError if there is none."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as err:
+            raise SchemaError(f"{path}: not a JSON document ({err})") from None

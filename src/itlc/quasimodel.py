@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
-                     ItlcError, SchemaError)
+                     ItlcError, SchemaError, read_json)
 from .formula import (Forall, Formula, eliminate_exists, format_formula,
                       in_diamond_fragment, parse)
 from .labels import (SigmaContext, profile_compatible, profile_masks, reaches,
@@ -409,17 +409,17 @@ def _decode(cert, target: Formula) -> Check | Certificate:
     data = cert.to_json_dict() if isinstance(cert, Certificate) else cert
     try:
         return _verify(data, target)
-    except (ItlcError, KeyError, TypeError, ValueError) as err:
+    except (ItlcError, AttributeError, KeyError, TypeError, ValueError) as err:
         return Check(False, f"malformed certificate: {err}")
 
 
 def _verify(data: dict, target: Formula) -> Check | Certificate:
     if parse(data["target"]) != target:
         return Check(False, "target mismatch")
-    reduced = eliminate_exists(target)
-    if not in_diamond_fragment(reduced):
+    try:
+        reduced, sigma = fragment_context(target)
+    except FragmentError:
         return Check(False, "target outside the decidable fragment")
-    sigma = subformula_closure(reduced)
     listed = [parse(s) for s in data["sigma"]]
     if tuple(listed) != sigma.formulas:
         return Check(False, "sigma does not match the target's subformula closure")
@@ -492,13 +492,22 @@ def save_certificate(cert: Certificate, path) -> None:
 
 
 def load_certificate(path, target: Formula) -> Certificate:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return certificate_from_json(data, target)
+    return certificate_from_json(read_json(path), target)
 
 
 # ---------------------------------------------------------------------------
 # The decision procedure
+
+def fragment_context(f: Formula) -> tuple[Formula, SigmaContext]:
+    """f with its existentials eliminated, and the context of that formula;
+    FragmentError unless it uses only next, eventually and forall."""
+    reduced = eliminate_exists(f)
+    if not in_diamond_fragment(reduced):
+        raise FragmentError(
+            "need a next/eventually/forall formula (after removing "
+            f"existentials); got {format_formula(reduced)}")
+    return reduced, subformula_closure(reduced)
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -531,13 +540,8 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     generation; a capped search, or one that runs past the timeout at any
     stage, falls back to RESOURCE_LIMIT.
     """
-    reduced = eliminate_exists(target)
-    if not in_diamond_fragment(reduced):
-        raise FragmentError(
-            "decide handles next/eventually/forall formulas (after removing "
-            f"existentials); got {format_formula(reduced)}")
+    reduced, sigma = fragment_context(target)
     deadline = caps.deadline()
-    sigma = subformula_closure(reduced)
     target_idx = sigma.index[reduced]
     forall_bodies = dict(sigma.forall_pairs)
 

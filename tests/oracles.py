@@ -6,6 +6,8 @@ the two can disagree.
 
 import itertools
 
+from itlc.alexandroff import FinitePoset, FiniteSystem, interior
+from itlc.errors import SchemaError
 from itlc.formula import (And, Atom, Eventually, Exists, Forall, Henceforth, Implies,
                           Next, Or)
 from itlc.labels import enumerate_types
@@ -165,3 +167,41 @@ def truth_oracle(X, valuation, f):
         return False  # bottom
 
     return frozenset(X.names[x] for x in range(n) if holds(f, x))
+
+
+def _accepted(build):
+    try:
+        return build()
+    except SchemaError:
+        return None
+
+
+def brute_posets(n):
+    """Every relation bit pattern over the pairs (i, j), i != j, meaning i
+    below j, that the FinitePoset constructor accepts, in
+    itertools.product order."""
+    names = tuple(f"e{i}" for i in range(n))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        down = [1 << i for i in range(n)]
+        for (i, j), bit in zip(pairs, bits):
+            down[j] |= bit << i
+        poset = _accepted(lambda: FinitePoset(names, tuple(down)))
+        if poset is not None:
+            out.append(poset)
+    return out
+
+
+def brute_monotone_maps(poset):
+    """Every map, in itertools.product order, that the FiniteSystem
+    constructor accepts."""
+    n = len(poset)
+    return [f for f in itertools.product(range(n), repeat=n)
+            if _accepted(lambda: FiniteSystem(poset, f)) is not None]
+
+
+def brute_open_masks(X):
+    """Every subset, ascending as a bitmask, that is its own interior."""
+    return [m for m in range(1 << len(X))
+            if interior(X, X.names_of(m)) == X.names_of(m)]

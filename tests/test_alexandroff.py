@@ -1,18 +1,19 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
 import itlc
-from itlc.alexandroff import (Analysis, _posets, analyze, closure, enumerate_posets,
-                              enumerate_systems, evaluate, find_countermodel,
-                              interior, is_valid_on_system, open_masks,
-                              random_system, system, system_from_json,
-                              system_to_json)
+from itlc.alexandroff import (Analysis, FinitePoset, FiniteSystem, _posets, analyze,
+                              closure, enumerate_posets, enumerate_systems, evaluate,
+                              find_countermodel, interior, is_valid_on_system,
+                              monotone_maps, open_masks, random_system, system,
+                              system_from_json, system_to_json)
 from itlc.config import Deadline
 from itlc.formula import parse
 
-from oracles import truth_oracle
+from oracles import brute_monotone_maps, brute_open_masks, brute_posets, truth_oracle
 
 
 def _random_valuation(rng, X, atoms):
@@ -238,10 +239,54 @@ def test_enumerate_systems_counts():
     assert len(enumerate_posets(3)) == 19
 
 
+def test_labelled_poset_counts():
+    # OEIS A001035
+    assert [len(enumerate_posets(n)) for n in range(1, 6)] == [1, 3, 19, 219, 4231]
+
+
+def test_enumeration_matches_brute_force():
+    for n in range(1, 5):
+        posets = list(_posets(n))
+        assert posets == brute_posets(n)
+        for poset in posets:
+            assert list(monotone_maps(poset)) == brute_monotone_maps(poset)
+            X = FiniteSystem(poset, tuple(range(n)))
+            assert open_masks(X) == brute_open_masks(X)
+    for seed in range(40):
+        X = random_system(8, seed)
+        assert open_masks(X) == brute_open_masks(X)
+
+
+def test_first_monotone_map_comes_without_listing_the_rest():
+    # the 7-point antichain has 7^7 = 823,543 monotone maps
+    antichain = FinitePoset(tuple(f"e{i}" for i in range(7)), tuple(1 << i for i in range(7)))
+    tracemalloc.start()
+    try:
+        first = next(iter(monotone_maps(antichain)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (0,) * 7
+    assert peak < 5 * 2**20
+
+
 def test_expired_deadline_stops_poset_walk():
-    # n = 6 walks 2^30 relation patterns, far apart from one system to the next
+    # the walk checks the deadline before it chooses the first up-set, so
+    # it stops before building any of the 130,023 posets on 6 points
     with pytest.raises(itlc.CapExceeded, match="poset enumeration passed"):
         next(_posets(6, Deadline(0)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("elements", 5), ("elements", [["v"]]), ("elements", []), ("order", [["v"]]),
+    ("order", {"v": "w"}), ("map", ["v"]), ("valuation", {"p": 5}),
+    ("valuation", {"p": 31}), ("valuation", ["p"]),
+])
+def test_system_file_fields_are_type_checked(fixture_system, field, value):
+    data = system_to_json(*fixture_system)
+    data[field] = value
+    with pytest.raises(itlc.SchemaError, match=f"^{field}"):
+        system_from_json(data)
 
 
 def test_json_round_trip(tmp_path, fixture_system):

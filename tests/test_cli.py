@@ -1,10 +1,13 @@
+import functools
 import io
 import json
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import itlc
 from itlc.cli import run
@@ -227,3 +230,95 @@ def test_decide_fuzz_keeps_the_exit_code_contract(text):
         assert out.getvalue() == "" and err.getvalue().startswith("error:")
     else:
         json.loads(out.getvalue())
+
+
+def test_valid_on_a_wide_system_keeps_its_timeout(tmp_path, capsys):
+    # 22 points: testing all 2^22 subsets for openness took about 9 s
+    path = tmp_path / "wide.json"
+    assert run(["random-system", "22", "--seed", "1", "--out", str(path)]) == 0
+    start = time.monotonic()
+    assert run(["valid", str(path), "E p -> <>p", "--timeout", "0.5"]) in {0, 1, 3}
+    assert time.monotonic() - start < 2
+
+
+def test_verify_reports_malformed_lassos(tmp_path, capsys):
+    assert run(["decide", "X p -> p", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    data["lassos"] = []
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", str(path), "X p -> p"]) == 1
+    assert capsys.readouterr().out.startswith("certificate INVALID: malformed certificate: ")
+
+
+_FILE_COMMANDS = (["check"], ["valid", "--timeout", "0.5"], ["analyze"],
+                  ["extract", "--timeout", "0.5"], ["verify"])
+
+
+def _run_on_file(command, path):
+    """Exit code, stdout and stderr of one file command, run in-process."""
+    name, *flags = command
+    formula = [] if name == "analyze" else ["X p -> p"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([name, str(path), *formula, *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("text", [
+    '{"elements": ["a"], "order": [], "ma', "[" * 1200 + "]" * 1200, "\xff",
+], ids=["truncated", "nested", "not-utf8"])
+def test_unreadable_files_are_usage_errors(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="latin-1")
+    for command in _FILE_COMMANDS:
+        code, out, err = _run_on_file(command, path)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and "not a JSON document" in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10)
+
+
+@functools.cache
+def _valid_documents():
+    """A system file and a certificate for X p -> p, as JSON values."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["decide", "X p -> p", "--format", "json"]) == 1
+    return json.loads(Path(FIXTURE).read_text()), json.loads(out.getvalue())
+
+
+def _with_field(which, key, value):
+    data = dict(_valid_documents()[which])
+    data[sorted(data)[key % len(data)]] = value
+    return json.dumps(data)
+
+
+def _truncated(which, cut):
+    text = json.dumps(_valid_documents()[which])
+    return text[:cut % len(text)]
+
+
+_HOSTILE_TEXTS = st.one_of(
+    _JSON_VALUES.map(json.dumps),
+    st.builds(_with_field, st.sampled_from([0, 1]), st.integers(0, 9), _JSON_VALUES),
+    st.builds(_truncated, st.sampled_from([0, 1]), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_HOSTILE_TEXTS)
+def test_hostile_files_keep_the_exit_code_contract(tmp_path, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    for command in _FILE_COMMANDS:
+        code, out, err = _run_on_file(command, path)
+        assert code in {0, 1, 2, 3}, (command, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: "), (command, err)
