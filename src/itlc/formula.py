@@ -409,31 +409,20 @@ def godel_tarski(f: Formula) -> str:
     '*' interior, '->' classical arrow, 'X'/'<>'/'[]'/'A'/'E'/'#' as in
     the source syntax.
     """
-    text, _ = _gt(f)
-    return text
-
-
-def _gt(f: Formula) -> tuple[str, int]:
-    # levels: 0 = arrow, 1 = unary/atomic
     if isinstance(f, Bottom):
-        return "#", 1
+        return "#"
     if isinstance(f, Atom):
-        return "*" + f.name, 1
+        return "*" + f.name
     if isinstance(f, Implies):
-        return f"*({_gt_at(f.left, 1)} -> {_gt_at(f.right, 0)})", 1
+        return f"*({godel_tarski(f.left)} -> {godel_tarski(f.right)})"
     if isinstance(f, And):
-        return f"({_gt_at(f.left, 1)} & {_gt_at(f.right, 1)})", 1
+        return f"({godel_tarski(f.left)} & {godel_tarski(f.right)})"
     if isinstance(f, Or):
-        return f"({_gt_at(f.left, 1)} | {_gt_at(f.right, 1)})", 1
+        return f"({godel_tarski(f.left)} | {godel_tarski(f.right)})"
     if isinstance(f, Henceforth):
-        return "*[]" + _gt_at(f.body, 1), 1
+        return "*[]" + godel_tarski(f.body)
     op = {Next: "X", Eventually: "<>", Forall: "A", Exists: "E"}[type(f)]
-    return op + _gt_at(f.body, 1), 1
-
-
-def _gt_at(f: Formula, min_level: int) -> str:
-    text, level = _gt(f)
-    return f"({text})" if level < min_level else text
+    return op + godel_tarski(f.body)
 
 
 # ---------------------------------------------------------------------------

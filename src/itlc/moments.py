@@ -9,8 +9,8 @@ and interned per context, so isomorphic moments are the same object.
 
 The successor relation between moments holds when some node-level
 relation pairs the roots, relates only sensible label pairs, and is
-forward confluent over the tree orders; it is computed as a greatest
-fixpoint over node pairs.
+forward confluent over the tree orders; it is computed by recursion on
+the submoments of the source.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class Moment:
 
 @dataclass
 class _NodeArrays:
-    """Flattened preorder node view used by the fixpoint algorithms."""
+    """Flattened preorder node view used by the reduction search."""
 
     labels: list[int]
     sizes: list[int]           # subtree size; descendants-or-self of i are i..i+sizes[i]
@@ -202,44 +202,27 @@ def temporal_successor(v: Moment, w: Moment) -> bool:
     """Whether w can follow v: some relation on nodes pairs the roots,
     relates only sensible label pairs, and is forward confluent.
 
-    Computed as a greatest fixpoint: start from all sensible node pairs,
-    repeatedly drop a pair whose source node has a child with no
-    surviving partner inside the target's subtree, and answer membership
-    of the root pair.  Sensible confluent relations are closed under
-    union, so the fixpoint contains the root pair iff some witness
-    relation does.
+    By recursion on v: the roots must be sensible, and every child of v
+    must be followed by some submoment of w.  A witness for the roots
+    restricts to a witness for each child and the submoment it pairs the
+    child with, and the root pair together with witnesses for the
+    children is a witness for the roots.  The recursion is as deep as v
+    is tall; results are memoized per context.
     """
     if v.sigma != w.sigma:
         raise SigmaMismatchError("moments built over different contexts")
+    return _successor(v, w)
+
+
+def _successor(v: Moment, w: Moment) -> bool:
     memo = v.sigma._succ_memo
     key = (v, w)
     hit = memo.get(key)
-    if hit is not None:
-        return hit
-    sigma = v.sigma
-    if not sigma.sensible_masks(v.label, w.label):
-        memo[key] = False
-        return False
-    av, aw = _arrays(v), _arrays(w)
-    nv, nw = len(av.labels), len(aw.labels)
-    alive = [[sigma.sensible_masks(av.labels[i], aw.labels[j]) for j in range(nw)]
-             for i in range(nv)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(nv):
-            row = alive[i]
-            for j in range(nw):
-                if not row[j]:
-                    continue
-                for ci in av.child_ids[i]:
-                    if not any(alive[ci][j2] for j2 in range(j, j + aw.sizes[j])):
-                        row[j] = False
-                        changed = True
-                        break
-    result = alive[0][0]
-    memo[key] = result
-    return result
+    if hit is None:
+        hit = (v.sigma.sensible_masks(v.label, w.label)
+               and all(any(_successor(c, t) for t in w.subtrees()) for c in v.children))
+        memo[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------

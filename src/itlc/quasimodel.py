@@ -110,7 +110,7 @@ class Lasso(NamedTuple):
 # ---------------------------------------------------------------------------
 # Quasimodel validation
 
-def check_quasimodel(q: Quasimodel) -> Check:
+def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
     """Re-check every structural condition, naming the first failure."""
     sigma = q.sigma
     if not q.worlds:
@@ -119,6 +119,7 @@ def check_quasimodel(q: Quasimodel) -> Check:
     if len(idx) != len(q.worlds):
         return Check(False, "duplicate worlds")
     for i, m in enumerate(q.worlds):
+        deadline.check("certificate verification")
         for sub in m.subtrees():
             try:
                 check_kit(sigma, sub.label, sub.children)
@@ -127,7 +128,9 @@ def check_quasimodel(q: Quasimodel) -> Check:
             if sub not in idx:
                 return Check(False, f"world {i} has a submoment that is not a world")
     n = len(q.worlds)
-    for a, b in q.s_edges:
+    for k, (a, b) in enumerate(q.s_edges):
+        if k % 256 == 0:
+            deadline.check("certificate verification")
         if not (0 <= a < n and 0 <= b < n):
             return Check(False, f"edge ({a},{b}) out of range")
         if not sigma.sensible_masks(q.worlds[a].label, q.worlds[b].label):
@@ -135,13 +138,16 @@ def check_quasimodel(q: Quasimodel) -> Check:
     for i in range(n):
         if not q.successors(i):
             return Check(False, f"world {i} has no successor")
-    for a, b in q.s_edges:
+    for k, (a, b) in enumerate(q.s_edges):
+        if k % 256 == 0:
+            deadline.check("certificate verification")
         for sub in q.worlds[a].subtrees():
             a2 = idx[sub]
             if not any((a2, idx[t]) in q.s_edges for t in q.worlds[b].subtrees()):
                 return Check(False,
                              f"edge ({a},{b}) not confluent below world {a2}")
     for i in range(n):
+        deadline.check("certificate verification")
         label = q.worlds[i].label
         for fi, fb in sigma.ev_pairs:
             if label >> fi & 1 and not reaches(i, q.successors, lambda v, w: True,
@@ -391,29 +397,34 @@ def certificate_from_json(data: dict, target: Formula) -> Certificate:
     return outcome
 
 
-def verify_certificate(cert, target: Formula) -> Check:
+def verify_certificate(cert, target: Formula, deadline: Deadline = NO_DEADLINE) -> Check:
     """Re-derive the context and re-check every invariant from raw data.
 
     Nothing from the producer is trusted: the context is rebuilt from the
     target formula, every world is revalidated as a moment, the listed
     order is recomputed, and the edge, honesty, witness and lasso
-    conditions are all checked directly.
+    conditions are all checked directly.  A deadline that passes raises
+    CapExceeded.
     """
-    outcome = _decode(cert, target)
+    outcome = _decode(cert, target, deadline)
     return outcome if isinstance(outcome, Check) else Check(True)
 
 
-def _decode(cert, target: Formula) -> Check | Certificate:
+def _decode(cert, target: Formula,
+            deadline: Deadline = NO_DEADLINE) -> Check | Certificate:
     """The certificate rebuilt over canonical world indices, or a failed
     Check naming the first violated condition."""
     data = cert.to_json_dict() if isinstance(cert, Certificate) else cert
     try:
-        return _verify(data, target)
+        return _verify(data, target, deadline)
+    except CapExceeded:
+        raise
     except (ItlcError, AttributeError, KeyError, TypeError, ValueError) as err:
         return Check(False, f"malformed certificate: {err}")
 
 
-def _verify(data: dict, target: Formula) -> Check | Certificate:
+def _verify(data: dict, target: Formula,
+            deadline: Deadline = NO_DEADLINE) -> Check | Certificate:
     if parse(data["target"]) != target:
         return Check(False, "target mismatch")
     try:
@@ -433,11 +444,13 @@ def _verify(data: dict, target: Formula) -> Check | Certificate:
     ids = [w["id"] for w in data["worlds"]]
     if len(set(ids)) != len(ids):
         return Check(False, "duplicate world ids")
-    try:
-        by_id = {w["id"]: _moment_from_json(sigma, w["moment"], f"worlds[{w['id']}]")
-                 for w in data["worlds"]}
-    except ItlcError as err:
-        return Check(False, f"world is not a moment: {err}")
+    by_id = {}
+    for w in data["worlds"]:
+        deadline.check("certificate verification")
+        try:
+            by_id[w["id"]] = _moment_from_json(sigma, w["moment"], f"worlds[{w['id']}]")
+        except ItlcError as err:
+            return Check(False, f"world is not a moment: {err}")
     if len(set(by_id.values())) != len(by_id):
         return Check(False, "two ids name the same moment")
 
@@ -445,7 +458,9 @@ def _verify(data: dict, target: Formula) -> Check | Certificate:
     idx = {m: i for i, m in enumerate(worlds)}
     remap = {wid: idx[m] for wid, m in by_id.items()}
     edges = set()
-    for pair in data["s_edges"]:
+    for k, pair in enumerate(data["s_edges"]):
+        if k % 256 == 0:
+            deadline.check("certificate verification")
         a, b = pair
         if a not in remap or b not in remap:
             return Check(False, f"edge {pair} references an unknown world")
@@ -456,7 +471,7 @@ def _verify(data: dict, target: Formula) -> Check | Certificate:
     if listed_order != set(q.order_pairs()):
         return Check(False, "listed order disagrees with the submoment relation")
 
-    structural = check_quasimodel(q)
+    structural = check_quasimodel(q, deadline)
     if not structural:
         return structural
 
@@ -471,6 +486,7 @@ def _verify(data: dict, target: Formula) -> Check | Certificate:
     original = {j: wid for wid, j in remap.items()}
     lassos = {}
     for i in range(len(worlds)):
+        deadline.check("certificate verification")
         orig = original[i]
         entry = data["lassos"].get(str(orig))
         if entry is None:
@@ -573,7 +589,7 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
                     lassos[i] = build_realizing_path(q, i)
                 cert = Certificate(target=target, quasimodel=q,
                                    witness=witness, lassos=lassos)
-                confirmed = verify_certificate(cert, target)
+                confirmed = verify_certificate(cert, target, deadline)
                 if not confirmed:
                     raise InvariantViolation(
                         f"emitted certificate failed: {confirmed.reason}")
@@ -635,8 +651,9 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
 
     Point labels come from the model checker.  The maximal
     label-preserving continuous simulation between irreducible moments
-    and points is computed by pruning pairs: a pair dies when some child
-    of the moment has no partner in the point's minimal neighborhood.
+    and points is computed by recursion on the moment: a moment simulates
+    a point carrying its root label when every child simulates some point
+    of the point's minimal neighborhood.
     The moments simulating at least one point, with the successor
     relation, form a quasimodel that falsifies exactly the context
     formulas the model falsifies; surjectivity and dynamicity of the
@@ -663,22 +680,21 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
         raise CapExceeded("irreducible enumeration over the point labels was cut off")
 
     n = len(system.names)
-    alive: set[tuple[Moment, int]] = {(m, x) for m in generation.snapshot()
-                                      for x in range(n) if m.label == point_labels[x]}
-    changed = True
-    while changed:
-        deadline.check("simulation pruning")
-        changed = False
-        for m, x in sorted(alive, key=lambda p: (p[0].key, p[1])):
+    memo: dict[tuple[Moment, int], bool] = {}
+
+    def simulates(m: Moment, x: int) -> bool:
+        hit = memo.get((m, x))
+        if hit is None:
             down = system.down[x]
-            ok = True
-            for c in m.children:
-                if not any((c, y) in alive for y in range(n) if down >> y & 1):
-                    ok = False
-                    break
-            if not ok:
-                alive.discard((m, x))
-                changed = True
+            hit = m.label == point_labels[x] and all(
+                any(simulates(c, y) for y in range(n) if down >> y & 1) for c in m.children)
+            memo[m, x] = hit
+        return hit
+
+    alive: set[tuple[Moment, int]] = set()
+    for m in generation.snapshot():
+        deadline.check("simulation pruning")
+        alive.update((m, x) for x in range(n) if simulates(m, x))
 
     covered = {x for _, x in alive}
     if covered != set(range(n)):

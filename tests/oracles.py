@@ -1,7 +1,7 @@
 """Brute-force reference implementations used only by the tests.
 
-Kept deliberately independent of the library's fixpoint algorithms so
-the two can disagree.
+Kept deliberately independent of the library's algorithms so the two
+can disagree.
 """
 
 import itertools
@@ -110,6 +110,24 @@ def relation_oracle(v, w, limit=2**16):
             if (0, 0) in rel and confluent(rel):
                 return True
     return False
+
+
+def simulation_oracle(moments, X, point_labels):
+    """The moment-point pairs of the largest label-preserving simulation,
+    as a greatest fixpoint: start from every pair whose labels agree and
+    drop pairs, in sorted sweeps, while some child of the moment has no
+    surviving partner in the point's minimal neighborhood."""
+    n = len(X)
+    alive = {(m, x) for m in moments for x in range(n) if m.label == point_labels[x]}
+    changed = True
+    while changed:
+        changed = False
+        for m, x in sorted(alive, key=lambda p: (p[0].key, p[1])):
+            if not all(any((c, y) in alive for y in range(n) if X.down[x] >> y & 1)
+                       for c in m.children):
+                alive.discard((m, x))
+                changed = True
+    return alive
 
 
 def reduction_oracle(m):

@@ -240,6 +240,12 @@ def test_verify_rejects_wrong_target(flagship):
     assert not verify_certificate(cert.to_json_dict(), parse("p -> p"))
 
 
+def test_verify_honours_an_expired_deadline(flagship):
+    cert = decide(flagship).certificate
+    with pytest.raises(itlc.CapExceeded, match="certificate verification"):
+        verify_certificate(cert, flagship, itlc.config.Deadline(0))
+
+
 def test_decide_resource_limit_never_claims_valid():
     verdict = decide(parse("X p -> p"), itlc.Caps(max_moments=2))
     assert verdict.kind in {"FALSIFIABLE", "RESOURCE_LIMIT"}
@@ -342,6 +348,35 @@ def test_extract_agreement_on_random_systems():
         checked += 1
 
 
+def test_extract_keeps_the_moments_of_the_largest_simulation(fixture_system):
+    import random
+
+    from itlc.alexandroff import open_masks
+    from oracles import simulation_oracle
+
+    cases = [(*fixture_system, parse("(X p -> X q) -> X(p -> q)"))]
+    rng = random.Random(31)
+    while len(cases) < 31:
+        X = itlc.random_system(rng.randrange(1, 5), rng.randrange(10**6))
+        opens = open_masks(X)
+        val = {a: X.names_of(rng.choice(opens)) for a in ("p", "q")}
+        f = itlc.eliminate_exists(
+            itlc.random_formula(rng, depth=2, modalities=itlc.DIAMOND_FRAGMENT))
+        if len(subformula_closure(f)) <= 9:
+            cases.append((X, val, f))
+    pruned = 0
+    for X, val, f in cases:
+        sigma = subformula_closure(f)
+        truth = {f: itlc.evaluate(X, val, f) for f in sigma.formulas}
+        labels = [sum(1 << sigma.index[f] for f, members in truth.items() if name in members)
+                  for name in X.names]
+        store = enumerate_irreducibles(sigma, allowed_labels=labels)
+        kept = {m for m, _ in simulation_oracle(store.moments, X, labels)}
+        pruned += len(kept) < len(store.moments)
+        assert extract_quasimodel(X, val, sigma).worlds == tuple(sorted(kept))
+    assert pruned > 0
+
+
 def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system):
     clocks = []
 
@@ -359,7 +394,8 @@ def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system
     assert decide(parse("X ~p <-> ~X p")).kind == "FALSIFIABLE"
     assert len(clocks) == 1
     assert clocks[0].seen == {"type enumeration", "label viability", "successor construction",
-                              "profile pruning", "lasso construction"}
+                              "profile pruning", "lasso construction",
+                              "certificate verification"}
 
     clocks.clear()
     enumerate_irreducibles(subformula_closure(parse("X ~p <-> ~X p")),
