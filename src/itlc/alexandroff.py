@@ -374,10 +374,27 @@ def _posets(n: int, deadline: Deadline = NO_DEADLINE):
 
 
 def monotone_maps(poset: FinitePoset):
-    """The monotone self-maps of a poset, lazily, in product order."""
-    is_monotone = _monotonicity_test(poset)
-    return (f for f in itertools.product(range(len(poset)), repeat=len(poset))
-            if is_monotone(f))
+    """The monotone self-maps of a poset, lazily, in product order.
+
+    The images of elements 0, 1, ... are chosen in turn, each in
+    ascending order, and an image is kept only if it is comparable as
+    required with the images of the elements already placed."""
+    n = len(poset)
+    down = poset.down
+    lower = [[a for a in range(i) if down[i] >> a & 1] for i in range(n)]
+    upper = [[a for a in range(i) if down[a] >> i & 1] for i in range(n)]
+
+    def extend(f):
+        i = len(f)
+        if i == n:
+            yield f
+            return
+        for y in range(n):
+            if (all(down[y] >> f[a] & 1 for a in lower[i])
+                    and all(down[f[a]] >> y & 1 for a in upper[i])):
+                yield from extend(f + (y,))
+
+    return extend(())
 
 
 def _monotonicity_test(poset: FinitePoset):

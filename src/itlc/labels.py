@@ -59,7 +59,7 @@ class SigmaContext:
 
         self._type_masks: tuple[int, ...] | None = None
         self._moment_cache: dict = {}
-        self._irr_memo: dict = {}
+        self._fold_memo: dict = {}
         self._succ_memo: dict = {}
         self._reduce_memo: dict = {}
 

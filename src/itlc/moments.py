@@ -7,6 +7,13 @@ strict descendant carrying the antecedent without the consequent.
 Moments are kept in canonical form (children sorted by a content key)
 and interned per context, so isomorphic moments are the same object.
 
+A moment is irreducible when no label-preserving monotone collapse maps
+it onto a proper sub-collection of its nodes.  Its reduct is its
+smallest retract, the core, which is unique up to isomorphism and so one
+interned moment.  Both are computed by recursion on submoments: a moment
+with irreducible children of strictly larger labels is irreducible
+exactly when no child folds into a sibling's submoments.
+
 The successor relation between moments holds when some node-level
 relation pairs the roots, relates only sensible label pairs, and is
 forward confluent over the tree orders; it is computed by recursion on
@@ -27,7 +34,7 @@ class Moment:
     """Interned canonical labelled tree.  Use moment()/graft() to build."""
 
     __slots__ = ("sigma", "label", "children", "height", "size", "_key", "_hash",
-                 "_subtrees", "_nodes")
+                 "_subtrees")
 
     def __init__(self, sigma: SigmaContext, label: int, children: tuple["Moment", ...]):
         self.sigma = sigma
@@ -39,7 +46,6 @@ class Moment:
         self._key = (label, children)
         self._hash = hash(self._key)
         self._subtrees: frozenset[Moment] | None = None
-        self._nodes: _NodeArrays | None = None
 
     @property
     def key(self):
@@ -80,39 +86,6 @@ class Moment:
 
     def __repr__(self) -> str:
         return f"Moment({self.sigma.format_mask(self.label)}, {len(self.children)} children)"
-
-
-@dataclass
-class _NodeArrays:
-    """Flattened preorder node view used by the reduction search."""
-
-    labels: list[int]
-    sizes: list[int]           # subtree size; descendants-or-self of i are i..i+sizes[i]
-    child_ids: list[list[int]]
-    subtree: list[Moment]      # interned subtree rooted at each node
-
-
-def _arrays(m: Moment) -> _NodeArrays:
-    if m._nodes is not None:
-        return m._nodes
-    labels: list[int] = []
-    sizes: list[int] = []
-    child_ids: list[list[int]] = []
-    subtree: list[Moment] = []
-
-    def emit(node: Moment) -> int:
-        me = len(labels)
-        labels.append(node.label)
-        sizes.append(node.size)
-        child_ids.append([])
-        subtree.append(node)
-        for c in node.children:
-            child_ids[me].append(emit(c))
-        return me
-
-    emit(m)
-    m._nodes = _NodeArrays(labels, sizes, child_ids, subtree)
-    return m._nodes
 
 
 def _sorted_kids(sigma: SigmaContext, children) -> tuple[Moment, ...]:
@@ -228,131 +201,60 @@ def _successor(v: Moment, w: Moment) -> bool:
 # ---------------------------------------------------------------------------
 # Reduction and irreducibility
 
-def _proper_retractions(m: Moment):
-    """Yield node->node maps that collapse m onto a proper sub-collection.
+def _folds(u: Moment, v: Moment) -> bool:
+    """Whether some label-preserving monotone node map sends u into v,
+    root to root: the labels are equal and every child of u folds into
+    some submoment of v.  Memoized per context, like _successor."""
+    if u.label != v.label:
+        return False
+    memo = u.sigma._fold_memo
+    key = (u, v)
+    hit = memo.get(key)
+    if hit is None:
+        hit = all(any(_folds(c, t) for t in v.subtrees()) for c in u.children)
+        memo[key] = hit
+    return hit
 
-    A valid map preserves labels, sends each node inside the image of its
-    parent (hence is monotone), fixes every node in its image, and misses
-    at least one node.  The image, with the induced order, is then itself
-    a moment: it inherits the tree shape and continuity by restriction,
-    and revocation because the map carries each revoking node to an image
-    node with the same label no higher up.
-    """
-    arrays = _arrays(m)
-    n = len(arrays.labels)
-    labels = arrays.labels
-    sizes = arrays.sizes
-    parent = [0] * n
-    for i in range(n):
-        for c in arrays.child_ids[i]:
-            parent[c] = i
-    pi = [-1] * n
-    forced = [False] * n
 
-    def assign(i: int):
-        if i == n:
-            if len(set(pi)) < n:
-                yield list(pi)
-            return
-        if i == 0:
-            base = [j for j in range(n) if labels[j] == labels[0]]
-        else:
-            anchor = pi[parent[i]]
-            base = [j for j in range(anchor, anchor + sizes[anchor])
-                    if labels[j] == labels[i]]
-        candidates = [i] if forced[i] else base
-        if forced[i] and i not in base:
-            return
-        for j in candidates:
-            if j < i and pi[j] != j:
-                continue
-            bumped = j > i and not forced[j]
-            if bumped:
-                forced[j] = True
-            pi[i] = j
-            yield from assign(i + 1)
-            pi[i] = -1
-            if bumped:
-                forced[j] = False
-
-    yield from assign(0)
+def _folds_into_sibling(kid: Moment, kids) -> bool:
+    return any(_folds(kid, t) for other in kids if other is not kid
+               for t in other.subtrees())
 
 
 def is_irreducible(m: Moment) -> bool:
     """Whether no idempotent monotone label-preserving collapse onto a
-    proper sub-collection of nodes exists.
-
-    Two sound quick rejections run first: a node sharing its label with a
-    strict descendant, and a node with two identical child subtrees, both
-    force reducibility.  Neither is sufficient (a child subtree may fold
-    into a sibling without being isomorphic to it), so a search over
-    candidate collapses confirms the answer.  A moment whose node labels
-    are pairwise distinct is always irreducible: the only label-preserving
-    node map is then the identity, which collapses nothing.
-    """
-    memo = m.sigma._irr_memo
-    hit = memo.get(m)
-    if hit is not None:
-        return hit
-    result = _is_irreducible(m)
-    memo[m] = result
-    return result
-
-
-def _is_irreducible(m: Moment) -> bool:
-    arrays = _arrays(m)
-    n = len(arrays.labels)
-    for i in range(n):
-        li = arrays.labels[i]
-        for j in range(i + 1, i + arrays.sizes[i]):
-            if arrays.labels[j] == li:
-                return False
-    for i in range(n):
-        kids = arrays.child_ids[i]
-        if len(kids) != len({arrays.subtree[c] for c in kids}):
-            return False
-    return next(_proper_retractions(m), None) is None
-
-
-def _rebuild(m: Moment, kept: set[int], root: int) -> Moment:
-    """Reassemble the moment induced by a kept node set, rooted at root."""
-    arrays = _arrays(m)
-
-    def frontier(i: int) -> list[int]:
-        out = []
-        for c in arrays.child_ids[i]:
-            if c in kept:
-                out.append(c)
-            else:
-                out.extend(frontier(c))
-        return out
-
-    def build(i: int) -> Moment:
-        return moment(m.sigma, arrays.labels[i], [build(c) for c in frontier(i)])
-
-    return build(root)
+    proper sub-collection of nodes exists, that is whether m is its own
+    core: reduce(m) is m."""
+    return reduce(m) is m
 
 
 def reduce(m: Moment) -> Moment:
-    """A deterministic irreducible reduct of m with the same root label.
+    """The core of m: its smallest retract, unique up to isomorphism and
+    so a single interned moment, with the same root label.
 
-    All single-step collapses are enumerated; among the smallest results
-    the canonically least is returned.  A smallest reduct is always
-    irreducible because reductions compose.
+    By recursion on the children.  Each child is replaced by its reduct;
+    a reduct carrying the root's label is replaced by its own children,
+    which carry strictly larger labels because a node sharing its label
+    with a strict descendant collapses onto it.  Duplicates go, and then,
+    canonically least first, every child that folds into a remaining
+    sibling's submoments.  What is left is irreducible: a collapse fixes
+    the root, the only node with its label, and maps each child into its
+    own subtree, where it is a bijection because the child is irreducible.
     """
     memo = m.sigma._reduce_memo
     hit = memo.get(m)
-    if hit is not None:
-        return hit
-    best = m
-    for assignment in _proper_retractions(m):
-        candidate = _rebuild(m, set(assignment), assignment[0])
-        if (candidate.size, candidate.key) < (best.size, best.key):
-            best = candidate
-    if best is not m and not is_irreducible(best):
-        best = reduce(best)
-    memo[m] = best
-    return best
+    if hit is None:
+        kids: set[Moment] = set()
+        for c in m.children:
+            r = reduce(c)
+            kids.update(r.children if r.label == m.label else (r,))
+        kept = sorted(kids, key=lambda k: k._key)
+        for kid in tuple(kept):
+            if _folds_into_sibling(kid, kept):
+                kept.remove(kid)
+        hit = moment(m.sigma, m.label, kept)
+        memo[m] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +299,11 @@ class _Generation:
     Height-one moments are the defect-free types.  A taller candidate is
     a root type grafted below a set of pairwise distinct, already
     generated irreducibles whose root labels strictly extend it, with at
-    least one child of the previous height.  A candidate whose node labels
-    are pairwise distinct is irreducible outright (see is_irreducible),
-    which covers every height-two candidate; any other candidate is
-    confirmed by the full irreducibility check.  One grow() call produces one
+    least one child of the previous height.  Such a candidate is
+    irreducible exactly when no child folds into a sibling's submoments
+    (see reduce), so it is rejected then; a candidate whose node labels
+    are pairwise distinct admits no fold at all, which covers every
+    height-two candidate and skips the test.  One grow() call produces one
     height layer, so a caller may interleave generation with its own
     searches and stop early; `capped` records whether a resource limit
     cut the space off before it was exhausted.  Labels grow strictly along
@@ -481,13 +384,10 @@ class _Generation:
                             if any(all(c.label >> i & 1 for c in kids)
                                    for i in defect_ids):
                                 continue
-                            ordered = _sorted_kids(sigma, kids)
-                            if not _distinct_labels(kids):
-                                # probe without interning; reducible candidates
-                                # must not survive in any cache
-                                if not _is_irreducible(Moment(sigma, root, ordered)):
-                                    continue
-                            fresh.append(_intern(sigma, root, ordered))
+                            if not _distinct_labels(kids) and any(
+                                    _folds_into_sibling(c, kids) for c in kids):
+                                continue
+                            fresh.append(_intern(sigma, root, _sorted_kids(sigma, kids)))
                             self.count += 1
         return fresh
 

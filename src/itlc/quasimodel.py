@@ -566,7 +566,7 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
         needing: list[tuple[int, frozenset[int]]] = []
         for profile in profile_masks(sigma):
             viable = viable_types(sigma, profile, deadline)
-            if _type_witness(sigma, profile, viable, target_idx, forall_bodies):
+            if _witness(sorted(viable), profile, target_idx, forall_bodies) is not None:
                 needing.append((profile, viable))
             else:
                 outcomes[profile] = "refuted by label viability"
@@ -580,7 +580,8 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
             carrier = generation.snapshot()
             for profile in profiles:
                 q = _prune(sigma, carrier, profile, None, deadline)
-                witness = _moment_witness(q, sigma, profile, target_idx, forall_bodies)
+                witness = _witness([w.label for w in q.worlds], profile,
+                                   target_idx, forall_bodies)
                 if witness is None:
                     continue
                 lassos = {}
@@ -611,26 +612,17 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     return Verdict("RESOURCE_LIMIT", None, False, _outcome_list(sigma, outcomes))
 
 
-def _type_witness(sigma: SigmaContext, profile: int, viable: frozenset[int],
-                  target_idx: int, forall_bodies: dict[int, int]) -> bool:
-    if not any(not t >> target_idx & 1 for t in viable):
-        return False
-    for fi, fb in forall_bodies.items():
-        if not profile >> fi & 1:
-            if not any(not t >> fb & 1 for t in viable):
-                return False
-    return True
-
-
-def _moment_witness(q: Quasimodel, sigma: SigmaContext, profile: int,
-                    target_idx: int, forall_bodies: dict[int, int]) -> int | None:
-    witness = next((i for i in range(len(q.worlds)) if q.root_lacks(i, target_idx)), None)
+def _witness(labels, profile: int, target_idx: int,
+             forall_bodies: dict[int, int]) -> int | None:
+    """The index of the first label lacking the target, provided that
+    every A-formula outside the profile has its body lacking from some
+    label; None otherwise."""
+    witness = next((i for i, t in enumerate(labels) if not t >> target_idx & 1), None)
     if witness is None:
         return None
     for fi, fb in forall_bodies.items():
-        if not profile >> fi & 1:
-            if not any(q.root_lacks(i, fb) for i in range(len(q.worlds))):
-                return None
+        if not profile >> fi & 1 and all(t >> fb & 1 for t in labels):
+            return None
     return witness
 
 

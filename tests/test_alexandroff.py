@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 
@@ -255,6 +256,13 @@ def test_enumeration_matches_brute_force():
     for seed in range(40):
         X = random_system(8, seed)
         assert open_masks(X) == brute_open_masks(X)
+
+
+def test_monotone_maps_of_seven_point_chain():
+    # the monotone self-maps of a chain of n points number C(2n - 1, n)
+    chain = FinitePoset(tuple(f"e{i}" for i in range(7)),
+                        tuple((1 << i + 1) - 1 for i in range(7)))
+    assert sum(1 for _ in monotone_maps(chain)) == 1716 == math.comb(13, 7)
 
 
 def test_first_monotone_map_comes_without_listing_the_rest():

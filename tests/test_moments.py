@@ -96,8 +96,8 @@ def test_duplicate_siblings_reducible():
 
 
 def test_sibling_fold_reducible_beyond_quick_filters():
-    # distinct, non-isomorphic siblings where one folds into the other:
-    # the quick filters pass but the collapse search must find it
+    # distinct, non-isomorphic siblings with distinct labels where one
+    # folds into the other's submoments: only the fold test rejects it
     sigma = subformula_closure(parse("p & q"))
     big = type_set(sigma, [p, Atom("q"), parse("p & q")]).mask
     leaf = moment(sigma, big)
@@ -115,17 +115,18 @@ def test_reduce_fixed_point(worked_moments):
 
 
 def test_reduce_matches_brute_force_oracle():
-    sigma = subformula_closure(parse("<>p"))
-    for m in all_moments_upto(sigma, 4):
-        expected_irreducible = not reduction_oracle(m)
-        assert is_irreducible(m) == expected_irreducible
-        reduct = reduce(m)
-        assert is_irreducible(reduct)
-        assert reduct.label == m.label
-        assert reduct.size <= m.size
-        if not expected_irreducible:
-            smallest = min(len(keep) for keep in reduction_oracle(m))
-            assert reduct.size == min(smallest, m.size)
+    for text, max_nodes in (("<>p", 4), ("p & q", 4), ("X p -> p", 4), ("<>p -> <>q", 3)):
+        sigma = subformula_closure(parse(text))
+        for m in all_moments_upto(sigma, max_nodes):
+            expected_irreducible = not reduction_oracle(m)
+            assert is_irreducible(m) == expected_irreducible, m
+            reduct = reduce(m)
+            assert is_irreducible(reduct)
+            assert reduct.label == m.label
+            assert reduct.size <= m.size
+            if not expected_irreducible:
+                smallest = min(len(keep) for keep in reduction_oracle(m))
+                assert reduct.size == min(smallest, m.size)
 
 
 def _node_labels_in_preorder(m):
@@ -200,6 +201,28 @@ def _assert_no_duplicate_siblings(m):
     assert len(m.children) == len(set(m.children))
     for c in m.children:
         _assert_no_duplicate_siblings(c)
+
+
+@pytest.mark.parametrize("text,count", [("<>p", 8), ("X p -> p", 23), ("~~p -> p", 5),
+                                        ("p & q", 17)])
+def test_enumeration_finds_every_small_irreducible(text, count):
+    sigma = subformula_closure(parse(text))
+    store = enumerate_irreducibles(sigma)
+    assert store.complete
+    small = {m for m in store.moments if m.size <= 4}
+    assert small == {m for m in all_moments_upto(sigma, 4) if not reduction_oracle(m)}
+    assert len(small) == count
+
+
+@pytest.mark.parametrize("text,caps,expected", [
+    ("(p -> q) | (q -> p)", itlc.Caps(max_moments=2000), (True, 3, 8000, 275)),
+    ("X p -> p", itlc.Caps(), (False, 4, 1037, 47)),
+])
+def test_generation_counts_through_the_fold_check(text, caps, expected):
+    gen = _Generation(subformula_closure(parse(text)), caps)
+    while gen.grow():
+        pass
+    assert (gen.capped, gen.height, gen.examined, gen.count) == expected
 
 
 def test_enumerate_caps_flag_incomplete():
