@@ -35,16 +35,16 @@ class SigmaContext:
         self.index = {f: i for i, f in enumerate(formulas)}
         if len(self.index) != len(formulas):
             raise ValueError("duplicate formulas in context")
-        for f in formulas:
+        for i, f in enumerate(formulas):
             for g in children(f):
-                if g not in self.index:
-                    raise ValueError(f"context not subformula-closed: missing {g}")
+                if self.index.get(g, i) >= i:  # missing, or indexed after f
+                    raise ValueError(f"context not subformula-closed in post-order: "
+                                     f"{g} must precede {f}")
 
-        self.bottom_index = self.index.get(Bottom())
-        self.and_triples = tuple((self.index[f], self.index[f.left], self.index[f.right])
-                                 for f in formulas if isinstance(f, And))
-        self.or_triples = tuple((self.index[f], self.index[f.left], self.index[f.right])
-                                for f in formulas if isinstance(f, Or))
+        # (node type, first operand, second operand) per formula, with None
+        # for an operand the node lacks; read by _bits
+        self._ops = tuple((type(f), *[self.index[g] for g in children(f)], None, None)[:3]
+                          for f in formulas)
         self.impl_triples = tuple((self.index[f], self.index[f.left], self.index[f.right])
                                   for f in formulas if isinstance(f, Implies))
         self.next_pairs = tuple((self.index[f], self.index[f.body])
@@ -84,36 +84,55 @@ class SigmaContext:
 
     # -- type machinery on raw masks ------------------------------------
 
+    def _bits(self, k: int, mask: int) -> tuple[int, ...]:
+        """The values bit k may take in a type, given the bits of its operands.
+
+        These are the type closure rules: bottom is never a member,
+        conjunctions and disjunctions follow their operands, an implication
+        holds when its consequent does and fails when only its antecedent
+        does, and an eventuality holds when its body does.  Every other bit
+        is free.
+        """
+        op, a, b = self._ops[k]
+        if op is Bottom:
+            return (0,)
+        if op is And:
+            return (mask >> a & mask >> b & 1,)
+        if op is Or:
+            return ((mask >> a | mask >> b) & 1,)
+        if op is Implies and (mask >> a | mask >> b) & 1:
+            return (mask >> b & 1,)
+        if op is Eventually and mask >> a & 1:
+            return (1,)
+        return (0, 1)
+
     def is_type_mask(self, mask: int) -> bool:
-        if self.bottom_index is not None and mask >> self.bottom_index & 1:
-            return False
-        for i, l, r in self.and_triples:
-            if mask >> i & 1 != (mask >> l & 1 and mask >> r & 1):
-                return False
-        for i, l, r in self.or_triples:
-            if mask >> i & 1 != (mask >> l & 1 or mask >> r & 1):
-                return False
-        for i, l, r in self.impl_triples:
-            if mask >> i & 1 and mask >> l & 1 and not mask >> r & 1:
-                return False
-            if mask >> r & 1 and not mask >> i & 1:
-                return False
-        for i, b in self.ev_pairs:
-            if mask >> b & 1 and not mask >> i & 1:
-                return False
-        return True
+        """Whether mask lies within the context and each bit takes a value
+        that `_bits` allows it."""
+        return 0 <= mask < 1 << len(self) and all(mask >> k & 1 in self._bits(k, mask)
+                                                  for k in range(len(self)))
 
     def type_masks(self, deadline: Deadline = NO_DEADLINE) -> tuple[int, ...]:
-        """All type masks in ascending numeric order.  Every mask is tested,
-        and the deadline is checked once per block of masks."""
+        """All type masks in ascending numeric order.
+
+        Operands are indexed before the formulas over them, so the masks
+        are built one subformula at a time from [0]: every partial mask
+        over the first k formulas is extended by each value `_bits` allows
+        bit k.  Every rule allows some value, so every partial mask
+        extends to a type and the cost follows the number of types, not
+        2^|Σ|.  The deadline is checked once per block of partial masks
+        per subformula; the final sort is one unchecked step.
+        """
         if self._type_masks is None:
-            end = 1 << len(self.formulas)
-            found: list[int] = []
-            for start in range(0, end, _MASK_BLOCK):
-                deadline.check("type enumeration")
-                found.extend(filter(self.is_type_mask,
-                                    range(start, min(start + _MASK_BLOCK, end))))
-            self._type_masks = tuple(found)
+            masks = [0]
+            for k in range(len(self.formulas)):
+                grown: list[int] = []
+                for start in range(0, len(masks), _MASK_BLOCK):
+                    deadline.check("type enumeration")
+                    grown.extend(m | b << k for m in masks[start:start + _MASK_BLOCK]
+                                 for b in self._bits(k, m))
+                masks = grown
+            self._type_masks = tuple(sorted(masks))
         return self._type_masks
 
     def defect_indices(self, mask: int) -> tuple[int, ...]:
@@ -258,8 +277,9 @@ def viable_types(sigma: SigmaContext, profile: int,
                     ok = False
                     break
             if ok:
-                for i in sigma.defect_indices(m):
-                    _, a, c = next(t for t in sigma.impl_triples if t[0] == i)
+                for i, a, c in sigma.impl_triples:
+                    if m >> i & 1 or m >> a & 1:
+                        continue
                     if not any(v != m and v & m == m and v >> a & 1 and not v >> c & 1
                                for v in alive):
                         ok = False

@@ -86,14 +86,18 @@ def successor_oracle(v, w):
 
 def relation_oracle(v, w, limit=2**16):
     """Literal brute force over relations: every subset of the sensible
-    node pairs, accepted when it contains the root pair and is forward
-    confluent.  Returns None when the subset space exceeds the limit."""
+    node pairs that contains the root pair, accepted when it is forward
+    confluent.  Returns None when the subset space exceeds the limit,
+    and False when the root pair is not sensible."""
     sigma = v.sigma
     vn, wn = flatten(v), flatten(w)
     sensible = [(i, j) for i in range(len(vn)) for j in range(len(wn))
                 if sigma.sensible_masks(vn[i][0], wn[j][0])]
     if 2 ** len(sensible) > limit:
         return None
+    if (0, 0) not in sensible:
+        return False
+    others = [pair for pair in sensible if pair != (0, 0)]
     children_of = [[c for c, (_, parent) in enumerate(vn) if parent == i]
                    for i in range(len(vn))]
 
@@ -104,10 +108,9 @@ def relation_oracle(v, w, limit=2**16):
                     return False
         return True
 
-    for k in range(len(sensible) + 1):
-        for subset in itertools.combinations(sensible, k):
-            rel = set(subset)
-            if (0, 0) in rel and confluent(rel):
+    for k in range(len(others) + 1):
+        for subset in itertools.combinations(others, k):
+            if confluent({(0, 0), *subset}):
                 return True
     return False
 

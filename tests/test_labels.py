@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ import itlc
 from itlc.formula import And, Atom, BOT, Eventually, Forall, Implies, Next, Or, parse
 from itlc.labels import (SigmaContext, TypeSet, defects, enumerate_types,
                          sensible_pair, subformula_closure, type_set)
+from itlc.moments import moment
 
 p, q = Atom("p"), Atom("q")
 
@@ -59,16 +61,23 @@ def test_worked_labels_are_enumerated(flagship_sigma, worked_labels):
 
 
 def test_enumerated_types_pass_reference_oracle():
+    # the types built by the closure rules are exactly the member sets the
+    # reference accepts, and is_type_mask agrees with it on every mask
     rng = random.Random(11)
+    checked = 0
     for _ in range(40):
         f = itlc.random_formula(rng, depth=3,
                                 modalities=itlc.DIAMOND_FRAGMENT)
         sigma = subformula_closure(f)
         if len(sigma) > 10:
             continue
-        for t in enumerate_types(sigma):
-            assert _is_type_reference(sigma, set(t.members()))
-        assert len(enumerate_types(sigma)) <= 2 ** len(sigma)
+        checked += 1
+        masks = range(1 << len(sigma))
+        accepted = [m for m in masks if _is_type_reference(
+            sigma, {g for i, g in enumerate(sigma.formulas) if m >> i & 1})]
+        assert [t.mask for t in enumerate_types(sigma)] == accepted
+        assert [m for m in masks if sigma.is_type_mask(m)] == accepted
+    assert checked >= 20
 
 
 def test_defects_examples(worked_labels):
@@ -153,7 +162,38 @@ def test_sensible_pairs_agree_on_universals(flagship_sigma):
 def test_bottom_never_in_a_type(flagship_sigma):
     assert all(BOT not in t for t in enumerate_types(flagship_sigma))
     with pytest.raises(ValueError):
-        TypeSet(flagship_sigma, 1 << flagship_sigma.bottom_index)
+        TypeSet(flagship_sigma, 1 << flagship_sigma.index[BOT])
+
+
+def test_masks_outside_the_context_are_not_types():
+    sigma = subformula_closure(parse("X p -> p"))
+    assert len(sigma) == 3
+    beyond = 1 << len(sigma)
+    for t in sigma.type_masks():
+        with pytest.raises(ValueError):
+            TypeSet(sigma, t | beyond)
+        with pytest.raises(itlc.KitError, match="not a type"):
+            moment(sigma, t | beyond)
+    assert not sigma.is_type_mask(1 << 60)
+    assert not sigma.is_type_mask(-1)
+
+
+def test_context_lists_operands_first():
+    # type enumeration reads each operand's bit before the formula's own
+    with pytest.raises(ValueError, match="post-order"):
+        SigmaContext((Implies(p, q), p, q))
+    with pytest.raises(ValueError, match="post-order"):
+        SigmaContext((Next(p),))
+    assert SigmaContext((p, q, Implies(p, q))).type_masks() == (0, 1, 4, 6, 7)
+
+
+def test_type_enumeration_checks_its_deadline():
+    # 2^22 + 1 types: every choice of atoms, and the all-false one twice
+    wide = subformula_closure(parse(" | ".join(f"p{i}" for i in range(1, 23)) + " -> p1"))
+    start = time.monotonic()
+    with pytest.raises(itlc.CapExceeded, match=r"^type enumeration passed "):
+        wide.type_masks(itlc.Caps(timeout=0.2).deadline())
+    assert time.monotonic() - start < 5
 
 
 def test_type_serialization_indices(worked_labels):
