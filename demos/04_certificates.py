@@ -1,8 +1,8 @@
 """Falsification certificates: emission, verification, tampering.
 
-A FALSIFIABLE verdict always carries a certificate: the surviving
-quasimodel, a witness world whose root label omits the target, and a
-realizing lasso for every world.  verify_certificate() re-derives the
+A FALSIFIABLE verdict always carries a certificate: the sub-quasimodel
+that a witness world, whose root label omits the target, generates inside
+the surviving structure, and a realizing lasso for every world.  verify_certificate() re-derives the
 context and re-checks every clause from raw JSON, trusting nothing.
 
 Run:  python demos/04_certificates.py

@@ -11,6 +11,7 @@ All output is deterministic given the arguments, input files, and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +29,10 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state between calls."""
     top = argparse.ArgumentParser(prog="itlc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -304,10 +304,12 @@ class _Generation:
     (see reduce), so it is rejected then; a candidate whose node labels
     are pairwise distinct admits no fold at all, which covers every
     height-two candidate and skips the test.  One grow() call produces one
-    height layer, so a caller may interleave generation with its own
+    non-empty layer, so a caller may interleave generation with its own
     searches and stop early; `capped` records whether a resource limit
     cut the space off before it was exhausted.  Labels grow strictly along
     branches, so no moment is taller than the context size plus one.
+    Subclasses order the layers differently by overriding _next_layer and
+    _exhausted.
 
     The types are enumerated on construction, which raises CapExceeded if
     the deadline passes first; a deadline passing during grow() caps the
@@ -341,55 +343,67 @@ class _Generation:
             self.deadline.check("moment generation")
 
     def grow(self) -> list[Moment]:
-        """Generate the next height layer; [] once the space is exhausted
+        """Generate the next non-empty layer; [] once the space is exhausted
         or a cap tripped."""
         if self.capped or self.exhausted:
             return []
         try:
-            fresh = self._next_layer()
+            while True:
+                fresh = self._next_layer()
+                self.accepted.extend(fresh)
+                self.exhausted = self._exhausted(fresh)
+                if fresh or self.exhausted:
+                    return fresh
         except CapExceeded:
             self.capped = True
-            self.by_height.setdefault(self.height, [])
             return []
-        self.by_height[self.height] = fresh
-        self.accepted.extend(fresh)
-        if not fresh or self.height > len(self.sigma):
-            self.exhausted = True
-        return fresh
+
+    def _exhausted(self, fresh: list[Moment]) -> bool:
+        return not fresh or self.height > len(self.sigma)
 
     def _next_layer(self) -> list[Moment]:
-        sigma = self.sigma
         self.height += 1
+        self.by_height[self.height] = []    # what a tripped cap leaves of it
         if self.height == 1:
-            singles = []
-            for t in self.types:
-                self._spend()
-                if not sigma.defect_indices(t):
-                    singles.append(moment(sigma, t))
-                    self.count += 1
-            return singles
-        fresh: list[Moment] = []
-        newest = self.by_height[self.height - 1]
-        older = [m for h in range(1, self.height - 1) for m in self.by_height[h]]
-        for root in self.types:
-            elig_new = [m for m in newest if root & m.label == root and m.label != root]
-            elig_old = [m for m in older if root & m.label == root and m.label != root]
-            defect_ids = sigma.defect_indices(root)
-            for k_new in range(1, len(elig_new) + 1):
-                for new_part in itertools.combinations(elig_new, k_new):
-                    for k_old in range(len(elig_old) + 1):
-                        for old_part in itertools.combinations(elig_old, k_old):
-                            self._spend()
-                            kids = new_part + old_part
-                            if any(all(c.label >> i & 1 for c in kids)
-                                   for i in defect_ids):
-                                continue
-                            if not _distinct_labels(kids) and any(
-                                    _folds_into_sibling(c, kids) for c in kids):
-                                continue
-                            fresh.append(_intern(sigma, root, _sorted_kids(sigma, kids)))
-                            self.count += 1
+            fresh = self._singles()
+        else:
+            fresh = []
+            newest = self.by_height[self.height - 1]
+            older = [m for h in range(1, self.height - 1) for m in self.by_height[h]]
+            for root in self.types:
+                elig_new = [m for m in newest if root & m.label == root and m.label != root]
+                elig_old = [m for m in older if root & m.label == root and m.label != root]
+                defect_ids = self.sigma.defect_indices(root)
+                for k_new in range(1, len(elig_new) + 1):
+                    for new_part in itertools.combinations(elig_new, k_new):
+                        for k_old in range(len(elig_old) + 1):
+                            for old_part in itertools.combinations(elig_old, k_old):
+                                self._admit(root, defect_ids, new_part + old_part, fresh)
+        self.by_height[self.height] = fresh
         return fresh
+
+    def _singles(self) -> list[Moment]:
+        """The one-node moments: the defect-free types."""
+        singles = []
+        for t in self.types:
+            self._spend()
+            if not self.sigma.defect_indices(t):
+                singles.append(moment(self.sigma, t))
+                self.count += 1
+        return singles
+
+    def _admit(self, root: int, defect_ids, kids: tuple[Moment, ...],
+               fresh: list[Moment]) -> None:
+        """Examine one candidate, the root type over distinct generated
+        irreducibles with strictly larger labels, and append it to fresh
+        when it is an irreducible moment."""
+        self._spend()
+        if any(all(c.label >> i & 1 for c in kids) for i in defect_ids):
+            return
+        if not _distinct_labels(kids) and any(_folds_into_sibling(c, kids) for c in kids):
+            return
+        fresh.append(_intern(self.sigma, root, _sorted_kids(self.sigma, kids)))
+        self.count += 1
 
     def snapshot(self) -> tuple[Moment, ...]:
         return tuple(sorted(set(self.accepted), key=lambda m: m.key))
@@ -402,6 +416,82 @@ class _Generation:
             by_height={h: tuple(sorted(ms, key=lambda m: m.key))
                        for h, ms in self.by_height.items()},
         )
+
+
+class _SizeGeneration(_Generation):
+    """The same generation ordered by node count: layer s holds the
+    irreducible moments with s nodes.
+
+    A size-s candidate is a root type over a set of distinct generated
+    irreducibles with strictly larger labels whose sizes add up to s - 1.
+    Children are smaller than their parent, so the moments generated up
+    to any layer are closed under submoments, and each candidate is
+    examined exactly once, in the layer its size names; run to
+    exhaustion, both orders examine the same candidates and accept the
+    same moments.  A layer may be empty while a later one is not, so
+    generation is exhausted only once no root has generated moments above
+    it totalling the next layer's child size.  `height` is the height of
+    the tallest moment generated.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.size = 0
+        # per root type: the generated moments above it, grouped by size in
+        # increasing order
+        self.above: dict[int, list[tuple[int, list[Moment]]]] = {t: [] for t in self.types}
+
+    def _exhausted(self, fresh: list[Moment]) -> bool:
+        # the next layer's children must add up to self.size nodes
+        return all(sum(size * len(members) for size, members in groups) < self.size
+                   for groups in self.above.values())
+
+    def _next_layer(self) -> list[Moment]:
+        self.size += 1
+        self.deadline.check("moment generation")
+        if self.size == 1:
+            fresh = self._singles()
+        else:
+            fresh = []
+            for root in self.types:
+                defect_ids = self.sigma.defect_indices(root)
+                for kids in _sets_of_size(self.above[root], self.size - 1):
+                    self._admit(root, defect_ids, kids, fresh)
+        for root in self.types:
+            members = [m for m in fresh if root & m.label == root and m.label != root]
+            if members:
+                self.above[root].append((self.size, members))
+        self.height = max([self.height] + [m.height for m in fresh])
+        return fresh
+
+
+def _sets_of_size(groups: list[tuple[int, list[Moment]]], total: int):
+    """Every set drawn from the groups of equal-sized moments, given in
+    increasing size order, whose sizes add up to total; each set once.
+
+    sums[j] has bit n set when the first j groups hold a set of n nodes,
+    so the search only enters branches that complete.
+    """
+    sums = [1]
+    for size, members in groups:
+        acc = reach = sums[-1]
+        for k in range(1, min(len(members), total // size) + 1):
+            acc |= reach << k * size
+        sums.append(acc)
+
+    def pick(j: int, rest: int):
+        if not rest:
+            yield ()
+            return
+        size, members = groups[j - 1]
+        for k in range(min(len(members), rest // size) + 1):
+            if sums[j - 1] >> rest - k * size & 1:
+                for part in itertools.combinations(members, k):
+                    for others in pick(j - 1, rest - k * size):
+                        yield others + part
+
+    if sums[-1] >> total & 1:
+        yield from pick(len(sums) - 1, total)
 
 
 def enumerate_irreducibles(sigma: SigmaContext, caps: Caps = DEFAULT_CAPS,

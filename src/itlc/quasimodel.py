@@ -32,8 +32,8 @@ from .formula import (Forall, Formula, eliminate_exists, format_formula,
                       in_diamond_fragment, parse)
 from .labels import (SigmaContext, profile_compatible, profile_masks, reaches,
                      subformula_closure, viable_types)
-from .moments import (Moment, MomentStore, _Generation, below, check_kit, moment,
-                      temporal_successor)
+from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, below, check_kit,
+                      moment, temporal_successor)
 
 
 @dataclass(frozen=True)
@@ -546,15 +546,16 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     then use only next/eventually/forall.  Each universal profile is
     first screened by the label-viability fixpoint; profiles it refutes
     admit no falsifying structure at all.  For the remaining profiles,
-    irreducible moments are generated height by height over the viable
-    labels and pruned after each layer; a surviving world omitting the
-    target (plus honesty witnesses) yields FALSIFIABLE with a verified
-    certificate as soon as it appears, which is sound because a pruning
-    fixpoint over a subtree-closed partial carrier is already a
-    quasimodel.  VALID is reported only when every profile was
-    conclusively refuted, either at the type level or by an exhausted
-    generation; a capped search, or one that runs past the timeout at any
-    stage, falls back to RESOURCE_LIMIT.
+    irreducible moments are generated over the viable labels by node
+    count, smallest first, and pruned after each size layer; a surviving
+    world omitting the target (plus honesty witnesses) yields FALSIFIABLE
+    as soon as it appears, which is sound because a pruning fixpoint over
+    a subtree-closed partial carrier is already a quasimodel.  The
+    certificate is the sub-quasimodel those worlds generate in it (see
+    _generated), verified before it is returned.  VALID is reported only
+    when every profile was conclusively refuted, either at the type level
+    or by an exhausted generation; a capped search, or one that runs past
+    the timeout at any stage, falls back to RESOURCE_LIMIT.
     """
     reduced, sigma = fragment_context(target)
     deadline = caps.deadline()
@@ -566,7 +567,7 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
         needing: list[tuple[int, frozenset[int]]] = []
         for profile in profile_masks(sigma):
             viable = viable_types(sigma, profile, deadline)
-            if _witness(sorted(viable), profile, target_idx, forall_bodies) is not None:
+            if _seeds(sorted(viable), profile, target_idx, forall_bodies) is not None:
                 needing.append((profile, viable))
             else:
                 outcomes[profile] = "refuted by label viability"
@@ -574,22 +575,23 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
             return Verdict("VALID", None, True, _outcome_list(sigma, outcomes))
 
         allowed = frozenset().union(*(v for _, v in needing))
-        generation = _Generation(sigma, caps, allowed_labels=allowed, deadline=deadline)
+        generation = _SizeGeneration(sigma, caps, allowed_labels=allowed, deadline=deadline)
         profiles = [p for p, _ in needing]
         while generation.grow():
             carrier = generation.snapshot()
             for profile in profiles:
                 q = _prune(sigma, carrier, profile, None, deadline)
-                witness = _witness([w.label for w in q.worlds], profile,
-                                   target_idx, forall_bodies)
-                if witness is None:
+                seeds = _seeds([w.label for w in q.worlds], profile,
+                               target_idx, forall_bodies)
+                if seeds is None:
                     continue
+                q, renumber = _generated(q, seeds, deadline)
                 lassos = {}
                 for i in range(len(q.worlds)):
                     deadline.check("lasso construction")
                     lassos[i] = build_realizing_path(q, i)
                 cert = Certificate(target=target, quasimodel=q,
-                                   witness=witness, lassos=lassos)
+                                   witness=renumber[seeds[0]], lassos=lassos)
                 confirmed = verify_certificate(cert, target, deadline)
                 if not confirmed:
                     raise InvariantViolation(
@@ -612,18 +614,68 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     return Verdict("RESOURCE_LIMIT", None, False, _outcome_list(sigma, outcomes))
 
 
-def _witness(labels, profile: int, target_idx: int,
-             forall_bodies: dict[int, int]) -> int | None:
-    """The index of the first label lacking the target, provided that
-    every A-formula outside the profile has its body lacking from some
-    label; None otherwise."""
-    witness = next((i for i, t in enumerate(labels) if not t >> target_idx & 1), None)
-    if witness is None:
-        return None
-    for fi, fb in forall_bodies.items():
-        if not profile >> fi & 1 and all(t >> fb & 1 for t in labels):
-            return None
-    return witness
+def _seeds(labels, profile: int, target_idx: int,
+           forall_bodies: dict[int, int]) -> list[int] | None:
+    """For the target, then for the body of each A-formula outside the
+    profile, the index of the first label lacking it; None when no label
+    lacks one of them."""
+    lacked = [target_idx] + [fb for fi, fb in forall_bodies.items() if not profile >> fi & 1]
+    seeds = [next((i for i, t in enumerate(labels) if not t >> k & 1), None) for k in lacked]
+    return None if None in seeds else seeds
+
+
+def _generated(q: Quasimodel, seeds: list[int],
+               deadline: Deadline) -> tuple[Quasimodel, dict[int, int]]:
+    """The sub-quasimodel of q that the seed worlds generate, renumbered
+    canonically, with the map from old to new world indices.
+
+    Kept worlds and edges are closed under three rules: a kept world's
+    submoments are kept; so are the worlds and edges of its realizing
+    lasso in q; and for a kept edge (a, b), each submoment a2 of a with no
+    kept edge into the submoments of b gets the canonically least edge of
+    q from a2 to a submoment of b, which exists because q is forward
+    confluent.  The result is again a quasimodel: downward closed,
+    serial, confluent, its eventualities realized along the kept lassos,
+    and honest because the seeds include a world lacking the body of
+    every A-formula outside the profile.
+    """
+    idx = q.world_index()
+    worlds: set[int] = set()
+    edges: set[tuple[int, int]] = set()
+    new_worlds = list(reversed(seeds))
+    new_edges: list[tuple[int, int]] = []
+
+    def keep(a: int, b: int) -> None:
+        if (a, b) not in edges:
+            edges.add((a, b))
+            new_edges.append((a, b))
+            new_worlds.extend((a, b))
+
+    while new_worlds or new_edges:
+        deadline.check("certificate construction")
+        if new_worlds:
+            i = new_worlds.pop()
+            if i in worlds:
+                continue
+            worlds.add(i)
+            new_worlds.extend(sorted((idx[sub] for sub in q.worlds[i].subtrees()),
+                                     reverse=True))
+            lasso = build_realizing_path(q, i)
+            walk = lasso.prefix + lasso.loop + lasso.loop[:1]
+            for a, b in zip(walk, walk[1:]):
+                keep(a, b)
+            continue
+        a, b = new_edges.pop()
+        under_b = sorted(idx[t] for t in q.worlds[b].subtrees())
+        for a2 in sorted(idx[sub] for sub in q.worlds[a].subtrees()):
+            if not any((a2, t) in edges for t in under_b):
+                keep(a2, next(t for t in under_b if (a2, t) in q.s_edges))
+    kept = sorted(worlds)
+    renumber = {i: k for k, i in enumerate(kept)}
+    shrunk = Quasimodel(q.sigma, tuple(q.worlds[i] for i in kept),
+                        frozenset((renumber[a], renumber[b]) for a, b in edges),
+                        q.profile)
+    return shrunk, renumber
 
 
 def _outcome_list(sigma: SigmaContext, outcomes: dict[int, str]) -> tuple[str, ...]:

@@ -1,7 +1,10 @@
 import functools
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -81,6 +84,25 @@ def test_verify_subcommand(tmp_path, capsys):
     bad_path.write_text(json.dumps(data))
     assert run(["verify", str(bad_path), FLAGSHIP]) == 1
     assert "INVALID" in capsys.readouterr().out
+
+
+def test_one_process_answers_like_fresh_ones(tmp_path):
+    # the parser is built once per process, so a usage error must leave
+    # nothing behind that changes the commands after it
+    cert_path = tmp_path / "cert.json"
+    commands = [["decide"],
+                ["decide", FLAGSHIP, "--format", "json", "--out", str(cert_path)],
+                ["verify", str(cert_path), FLAGSHIP]]
+    env = dict(os.environ, PYTHONPATH=str(Path(itlc.__file__).resolve().parents[1]))
+    fresh = [subprocess.run([sys.executable, "-m", "itlc.cli", *argv], env=env,
+                            capture_output=True) for argv in commands]
+    for argv, proc in zip(commands, fresh):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        assert (code, out.getvalue().encode(), err.getvalue().encode()) == (
+            proc.returncode, proc.stdout, proc.stderr)
+    assert [proc.returncode for proc in fresh] == [2, 1, 0]
 
 
 def test_enumerate_subcommand(capsys):

@@ -4,10 +4,12 @@ import pytest
 
 import itlc
 from itlc.formula import Atom, parse
-from itlc.labels import SigmaContext, enumerate_types, subformula_closure, type_set
-from itlc.moments import (_Generation, below, enumerate_irreducibles, graft,
-                          is_irreducible, moment, reduce, submoment,
+from itlc.labels import (SigmaContext, enumerate_types, profile_masks, subformula_closure,
+                         type_set, viable_types)
+from itlc.moments import (_Generation, _SizeGeneration, below, enumerate_irreducibles,
+                          graft, is_irreducible, moment, reduce, submoment,
                           temporal_successor)
+from itlc.quasimodel import fragment_context
 from oracles import all_moments_upto, reduction_oracle, successor_oracle
 
 p = Atom("p")
@@ -262,6 +264,68 @@ def test_enumerate_restricted_labels(flagship_sigma, worked_labels):
     store = enumerate_irreducibles(flagship_sigma, allowed_labels=allowed)
     assert store.complete
     assert all(m.node_labels() <= allowed for m in store.moments)
+
+
+# ---------------------------------------------------------------------------
+# Generation by node count
+
+def _run_out(cls, sigma, allowed):
+    gen = cls(sigma, itlc.Caps(max_moments=20_000), allowed_labels=allowed)
+    layers = []
+    while fresh := gen.grow():
+        layers.append(fresh)
+    assert gen.exhausted and not gen.capped
+    return gen, layers
+
+
+def _small_contexts(worked_labels):
+    """(sigma, allowed labels) pairs whose irreducible moments run out
+    within the test caps."""
+    rng = random.Random(5)
+    flagship_sigma = worked_labels[0].sigma
+    contexts = [(flagship_sigma, frozenset(l.mask for l in worked_labels))]
+    contexts += [(flagship_sigma, frozenset(rng.sample(flagship_sigma.type_masks(), 6)))
+                 for _ in range(3)]
+    # decide restricts the labels to those viable under some profile
+    for text in ("X p -> p", "<>p -> p", "E p -> <>p", "p -> X p", "p -> p",
+                 "<>p <-> (p | X<>p)"):
+        _, sigma = fragment_context(parse(text))
+        contexts.append((sigma, frozenset().union(
+            *(viable_types(sigma, profile) for profile in profile_masks(sigma)))))
+    contexts += [(subformula_closure(parse(text)), None)
+                 for text in ("<>p", "~~p -> p", "p & q", "X p -> p")]
+    for text in ("X(p & q) <-> (X p & X q)", "X(p -> q) -> (X p -> X q)"):
+        sigma = subformula_closure(parse(text))
+        contexts += [(sigma, frozenset(rng.sample(sigma.type_masks(), 6)))
+                     for _ in range(2)]
+    for _ in range(10):
+        sigma = subformula_closure(itlc.random_formula(rng, depth=3))
+        types = sigma.type_masks()
+        contexts.append((sigma, frozenset(rng.sample(types, min(4, len(types))))))
+    return contexts
+
+
+def test_size_order_runs_out_to_the_height_order_space(worked_labels):
+    contexts = _small_contexts(worked_labels)
+    assert len(contexts) >= 20
+    for sigma, allowed in contexts:
+        by_height, _ = _run_out(_Generation, sigma, allowed)
+        by_size, layers = _run_out(_SizeGeneration, sigma, allowed)
+        assert set(by_size.accepted) == set(by_height.accepted)
+        assert len(by_size.accepted) == len(by_height.accepted)
+        assert by_size.examined == by_height.examined
+        assert by_size.snapshot() == by_height.snapshot()
+        for layer in layers:
+            assert len({m.size for m in layer}) == 1
+            assert all(sub in by_size.accepted for m in layer for sub in m.subtrees())
+
+
+def test_size_order_runs_past_an_empty_layer():
+    # no irreducible moment of "~~p -> p" has five nodes, but one has six
+    sigma = subformula_closure(parse("~~p -> p"))
+    gen, layers = _run_out(_SizeGeneration, sigma, None)
+    assert [layer[0].size for layer in layers] == [1, 2, 3, 4, 6]
+    assert set(gen.accepted) == set(enumerate_irreducibles(sigma).moments)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import pytest
 
@@ -272,6 +273,59 @@ def test_decide_exhaustion_backstop(monkeypatch):
     assert verify_certificate(verdict.certificate, flagship)
 
 
+VALIDITIES = ("p -> p", "<>p <-> (p | X<>p)", "X(p & q) <-> (X p & X q)",
+              "X(p -> q) -> (X p -> X q)")
+HARD = ("X ~p <-> ~X p", "A<>p -> (X ~p <-> ~X p)", "p1 | p2 | p3 | p4 | p5 | p6 -> p1",
+        "(X p -> X q) -> X(p -> q)", "A(~p | <>p) -> (~<>p | <>p)", "X p -> p", "<>p -> p",
+        "E p -> <>p", "p -> X p") + VALIDITIES
+CERT_WORLDS = {"(X p -> X q) -> X(p -> q)": 2, "X ~p <-> ~X p": 2,
+               "A(~p | <>p) -> (~<>p | <>p)": 3, "p1 | p2 | p3 | p4 | p5 | p6 -> p1": 1}
+
+
+@pytest.mark.parametrize("text", HARD)
+def test_certificate_is_generated_inside_the_pruned_structure(monkeypatch, text):
+    shrinks = []
+    generated = itlc.quasimodel._generated
+
+    def recording(q, seeds, deadline):
+        shrunk, renumber = generated(q, seeds, deadline)
+        shrinks.append((q, shrunk, renumber))
+        return shrunk, renumber
+
+    monkeypatch.setattr(itlc.quasimodel, "_generated", recording)
+    f = parse(text)
+    verdict = decide(f)
+    if text in VALIDITIES:
+        assert verdict.kind == "VALID" and not shrinks
+        return
+    assert verdict.kind == "FALSIFIABLE"
+    (pruned, shrunk, renumber), = shrinks
+    cert = verdict.certificate
+    assert cert.quasimodel == shrunk and shrunk.profile == pruned.profile
+    assert verify_certificate(json.loads(cert.to_json_text()), f)
+    old = {new: i for i, new in renumber.items()}
+    assert all(shrunk.worlds[k] is pruned.worlds[old[k]] for k in range(len(shrunk.worlds)))
+    assert {(old[a], old[b]) for a, b in shrunk.s_edges} <= pruned.s_edges
+    if text in CERT_WORLDS:
+        assert len(shrunk.worlds) == CERT_WORLDS[text]
+
+
+@pytest.mark.parametrize("text", ["(X p -> X q) -> X(p -> q)", "E(X(p -> q) | XXp)"])
+def test_small_countermodels_are_found_before_the_moment_cap(text):
+    start = time.perf_counter()
+    verdict = decide(parse(text))
+    assert time.perf_counter() - start < 1
+    assert verdict.kind == "FALSIFIABLE"
+
+
+def test_eight_disjuncts_are_decided_quickly():
+    f = parse("p1 | p2 | p3 | p4 | p5 | p6 | p7 | p8 -> p1")
+    start = time.perf_counter()
+    verdict = decide(f)
+    assert time.perf_counter() - start < 2
+    assert verdict.kind == "FALSIFIABLE" and len(verdict.certificate.quasimodel.worlds) == 1
+
+
 # ---------------------------------------------------------------------------
 # Extraction from finite systems
 
@@ -393,8 +447,9 @@ def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system
     monkeypatch.setattr(itlc.config, "Deadline", Recording)
     assert decide(parse("X ~p <-> ~X p")).kind == "FALSIFIABLE"
     assert len(clocks) == 1
-    assert clocks[0].seen == {"type enumeration", "label viability", "successor construction",
-                              "profile pruning", "lasso construction",
+    assert clocks[0].seen == {"type enumeration", "label viability", "moment generation",
+                              "successor construction", "profile pruning",
+                              "certificate construction", "lasso construction",
                               "certificate verification"}
 
     clocks.clear()
