@@ -74,7 +74,7 @@ class SigmaContext:
         return f in self.index
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SigmaContext) and self.formulas == other.formulas
+        return self is other or isinstance(other, SigmaContext) and self.formulas == other.formulas
 
     def __hash__(self) -> int:
         return hash(self.formulas)
@@ -257,56 +257,48 @@ def viable_types(sigma: SigmaContext, profile: int,
     sensible path of surviving labels, and (c) have, for each of its
     defects, a strictly larger surviving label witnessing the antecedent
     without the consequent.  Pruning to the greatest such set is sound:
-    a type outside it can appear in no such structure.  The deadline is
-    checked once per type tested, since each test searches the survivors.
+    a type outside it can appear in no such structure.  A round drops the
+    types failing (a) or (c), then those owing an eventuality outside its
+    `realizers`, and a round that drops nothing ends it; the deadline is
+    checked once per type tested, and a test scans a set of types once.
     """
     alive = {m for m in sigma.type_masks(deadline) if profile_compatible(sigma, profile, m)}
-    changed = True
-    while changed:
-        changed = False
+
+    def steps_into(v: int, targets) -> bool:
+        return any(sigma.sensible_masks(v, w) for w in targets)
+
+    def revoked(m: int) -> bool:
+        return all(any(v != m and v & m == m and v >> a & 1 and not v >> c & 1 for v in alive)
+                   for i, a, c in sigma.impl_triples if not m >> i & 1 and not m >> a & 1)
+
+    before = None
+    while len(alive) != before:
+        before = len(alive)
         for m in sorted(alive):
             deadline.check("label viability")
-            if not any(sigma.sensible_masks(m, m2) for m2 in alive):
+            if not steps_into(m, alive) or not revoked(m):
                 alive.discard(m)
-                changed = True
-                continue
-            ok = True
-            for i, b in sigma.ev_pairs:
-                if m >> i & 1 and not reaches(m, lambda v: alive, sigma.sensible_masks,
-                                              lambda v: v >> b & 1):
-                    ok = False
-                    break
-            if ok:
-                for i, a, c in sigma.impl_triples:
-                    if m >> i & 1 or m >> a & 1:
-                        continue
-                    if not any(v != m and v & m == m and v >> a & 1 and not v >> c & 1
-                               for v in alive):
-                        ok = False
-                        break
-            if not ok:
-                alive.discard(m)
-                changed = True
+        for i, b in sigma.ev_pairs:
+            found = realizers(sorted(alive), lambda v: v >> b & 1, steps_into,
+                              deadline, "label viability")
+            alive -= {m for m in alive if m >> i & 1 and m not in found}
     return frozenset(alive)
 
 
-def reaches(start, candidates, edge, goal) -> bool:
-    """Whether breadth-first search from start meets a node satisfying goal.
-
-    candidates(v) lists the nodes that may follow v and edge(v, w) decides
-    whether one does.  edge is asked only about nodes not yet visited, so
-    an expensive test is never spent on a node already reached.
-    """
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if goal(v):
-                return True
-            for w in candidates(v):
-                if w not in seen and edge(v, w):
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return False
+def realizers(nodes, holds, steps_into, deadline: Deadline, what: str) -> set:
+    """The nodes from which a path through nodes reaches one that holds,
+    grown backward in rounds: a round adds each remaining v with
+    steps_into(v, added), added being the round before's additions (a
+    step into earlier ones would have added v already).  The deadline is
+    checked, under what, once per node tested."""
+    rest = list(nodes)
+    added = {v for v in rest if holds(v)}
+    while added:
+        rest = [v for v in rest if v not in added]
+        fresh = set()
+        for v in rest:
+            deadline.check(what)
+            if steps_into(v, added):
+                fresh.add(v)
+        added = fresh
+    return set(nodes).difference(rest)

@@ -458,6 +458,7 @@ class _SizeGeneration(_Generation):
                 for kids in _sets_of_size(self.above[root], self.size - 1):
                     self._admit(root, defect_ids, kids, fresh)
         for root in self.types:
+            self.deadline.check("moment generation")
             members = [m for m in fresh if root & m.label == root and m.label != root]
             if members:
                 self.above[root].append((self.size, members))

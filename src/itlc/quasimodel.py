@@ -30,7 +30,7 @@ from .errors import (CapExceeded, FragmentError, InvariantViolation,
                      ItlcError, SchemaError, read_json)
 from .formula import (Forall, Formula, eliminate_exists, format_formula,
                       in_diamond_fragment, parse)
-from .labels import (SigmaContext, profile_compatible, profile_masks, reaches,
+from .labels import (SigmaContext, profile_compatible, profile_masks, realizers,
                      subformula_closure, viable_types)
 from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, below, check_kit,
                       moment, temporal_successor)
@@ -111,7 +111,8 @@ class Lasso(NamedTuple):
 # Quasimodel validation
 
 def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
-    """Re-check every structural condition, naming the first failure."""
+    """Re-check every structural condition, naming the first failure;
+    each eventuality's body has its `realizers` grown once over the edges."""
     sigma = q.sigma
     if not q.worlds:
         return Check(False, "no worlds")
@@ -146,12 +147,14 @@ def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
             if not any((a2, idx[t]) in q.s_edges for t in q.worlds[b].subtrees()):
                 return Check(False,
                              f"edge ({a},{b}) not confluent below world {a2}")
+    found = {fb: realizers(range(n), lambda v: q.worlds[v].label >> fb & 1,
+                           lambda v, targets: any(j in targets for j in q.successors(v)),
+                           deadline, "certificate verification")
+             for _, fb in sigma.ev_pairs}
     for i in range(n):
-        deadline.check("certificate verification")
         label = q.worlds[i].label
         for fi, fb in sigma.ev_pairs:
-            if label >> fi & 1 and not reaches(i, q.successors, lambda v, w: True,
-                                               lambda v: q.worlds[v].label >> fb & 1):
+            if label >> fi & 1 and i not in found[fb]:
                 return Check(False,
                              f"eventuality {sigma.formulas[fi]} of world {i} unrealized")
     for fi, fb in sigma.forall_pairs:
@@ -187,12 +190,15 @@ def prune_profile(store: MomentStore, profile, order=None) -> Quasimodel:
     """Greatest subset of the store that can sit inside a quasimodel
     whose labels follow the given universal profile.
 
-    Iterated removal to a fixpoint: drop a moment whose node labels
-    disagree with the profile, whose submoments are not all present,
-    which has no surviving successor, or one of whose root eventualities
-    is unrealizable along surviving successors.  Removal order never
-    affects the result; `order` exists so tests can demonstrate that.
+    Moments whose node labels disagree with the profile are left out.
+    A round drops the moments missing a submoment or a successor, then
+    those owing a root eventuality outside its `realizers` along the
+    successor rows; a round that drops nothing ends it.  Removal order
+    never affects the result; `order`, a permutation of the store's
+    moments, exists so tests can demonstrate that.
     """
+    if order is not None and (len(order), set(order)) != (len(store.moments), set(store.moments)):
+        raise ValueError("order must list every moment of the store exactly once")
     return _prune(store.sigma, store.moments, _profile_mask(store.sigma, profile), order)
 
 
@@ -207,23 +213,22 @@ def _prune(sigma: SigmaContext, moments, mask: int, order=None,
     subs = [[index.get(sub, -1) for sub in m.subtrees() if sub is not m] for m in carrier]
     alive = set(range(len(carrier)))
 
-    def survives(i: int) -> bool:
-        label = carrier[i].label
-        return (all(k in alive for k in subs[i])
-                and any(j in alive for j in succ[i])
-                and all(reaches(i, succ.__getitem__, lambda v, w: w in alive,
-                                lambda v: carrier[v].label >> fb & 1)
-                        for fi, fb in sigma.ev_pairs if label >> fi & 1))
+    def steps_into(i: int, targets) -> bool:
+        return any(j in targets for j in succ[i])
 
     sweep = range(len(carrier)) if order is None else [index[m] for m in order if m in index]
-    changed = True
-    while changed:
+    before = None
+    while len(alive) != before:
         deadline.check("profile pruning")
-        changed = False
+        before = len(alive)
         for i in sweep:
-            if i in alive and not survives(i):
+            if i in alive and not (all(k in alive for k in subs[i]) and steps_into(i, alive)):
                 alive.discard(i)
-                changed = True
+        for fi, fb in sigma.ev_pairs:
+            found = realizers([i for i in sweep if i in alive],
+                              lambda i: carrier[i].label >> fb & 1, steps_into,
+                              deadline, "profile pruning")
+            alive -= {i for i in alive if carrier[i].label >> fi & 1 and i not in found}
     kept = sorted(alive)
     renumber = {i: k for k, i in enumerate(kept)}
     edges = frozenset((renumber[i], renumber[j]) for i in kept for j in succ[i] if j in alive)

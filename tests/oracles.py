@@ -10,8 +10,8 @@ from itlc.alexandroff import FinitePoset, FiniteSystem, interior
 from itlc.errors import SchemaError
 from itlc.formula import (And, Atom, Eventually, Exists, Forall, Henceforth, Implies,
                           Next, Or)
-from itlc.labels import enumerate_types
-from itlc.moments import moment
+from itlc.labels import enumerate_types, profile_compatible
+from itlc.moments import moment, temporal_successor
 
 
 def all_moments_upto(sigma, max_nodes):
@@ -188,6 +188,77 @@ def truth_oracle(X, valuation, f):
         return False  # bottom
 
     return frozenset(X.names[x] for x in range(n) if holds(f, x))
+
+
+def _path_to(start, successors, goal):
+    """Whether a forward search from start meets a node satisfying goal."""
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        if goal(v):
+            return True
+        for w in successors(v):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def viability_oracle(sigma, profile):
+    """The label-viability fixpoint swept type by type: in ascending
+    order, drop a profile-compatible type with no sensible successor
+    among the survivors, with an eventuality no sensible path of
+    survivors realizes, or with a defect no strictly larger survivor
+    revokes, until a sweep drops nothing."""
+    alive = {m for m in sigma.type_masks() if profile_compatible(sigma, profile, m)}
+
+    def successors(v):
+        return [w for w in alive if sigma.sensible_masks(v, w)]
+
+    changed = True
+    while changed:
+        changed = False
+        for m in sorted(alive):
+            serial = bool(successors(m))
+            realized = all(_path_to(m, successors, lambda v, b=b: v >> b & 1)
+                           for i, b in sigma.ev_pairs if m >> i & 1)
+            revoked = all(any(v != m and v & m == m and v >> a & 1 and not v >> c & 1
+                              for v in alive)
+                          for i, a, c in sigma.impl_triples
+                          if not m >> i & 1 and not m >> a & 1)
+            if not (serial and realized and revoked):
+                alive.discard(m)
+                changed = True
+    return frozenset(alive)
+
+
+def prune_oracle(store, profile):
+    """Profile pruning swept moment by moment: of the moments whose node
+    labels follow the profile, drop, in key order, one with a submoment
+    or every successor already gone, or with a root eventuality no path
+    of survivors realizes, until a sweep drops nothing.  Returns the
+    surviving worlds in key order and the successor pairs among them."""
+    sigma = store.sigma
+    carrier = [m for m in store.moments
+               if all(profile_compatible(sigma, profile, l) for l in m.node_labels())]
+    succ = {v: [w for w in carrier if temporal_successor(v, w)] for v in carrier}
+    alive = set(carrier)
+
+    def successors(v):
+        return [w for w in succ[v] if w in alive]
+
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive, key=lambda m: m.key):
+            if not (all(s in alive for s in v.subtrees()) and successors(v)
+                    and all(_path_to(v, successors, lambda u, b=b: u.label >> b & 1)
+                            for i, b in sigma.ev_pairs if v.label >> i & 1)):
+                alive.discard(v)
+                changed = True
+    worlds = tuple(sorted(alive, key=lambda m: m.key))
+    index = {m: i for i, m in enumerate(worlds)}
+    return worlds, frozenset((index[v], index[w]) for v in worlds for w in successors(v))
 
 
 def _accepted(build):

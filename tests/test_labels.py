@@ -196,6 +196,26 @@ def test_type_enumeration_checks_its_deadline():
     assert time.monotonic() - start < 5
 
 
+def test_viable_types_match_the_sweeping_oracle(flagship_sigma):
+    from oracles import viability_oracle
+
+    rng = random.Random(47)
+    contexts = [flagship_sigma, subformula_closure(parse("A<>p -> (X ~p <-> ~X p)"))]
+    while len(contexts) < 40:
+        sigma = subformula_closure(itlc.eliminate_exists(
+            itlc.random_formula(rng, depth=4, modalities=itlc.DIAMOND_FRAGMENT)))
+        if sigma.ev_pairs and len(sigma) <= 16:
+            contexts.append(sigma)
+    dropped = 0
+    for sigma in contexts:
+        for profile in itlc.labels.profile_masks(sigma):
+            viable = itlc.viable_types(sigma, profile)
+            assert viable == viability_oracle(sigma, profile), (sigma.formulas[-1], profile)
+            dropped += len(viable) < sum(itlc.labels.profile_compatible(sigma, profile, t)
+                                         for t in sigma.type_masks())
+    assert dropped > 50
+
+
 def test_type_serialization_indices(worked_labels):
     lu, _, _ = worked_labels
     assert lu.indices() == tuple(sorted(lu.indices()))

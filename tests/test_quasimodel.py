@@ -59,6 +59,44 @@ def test_prune_order_independent(flagship_sigma):
     assert forward.s_edges == backward.s_edges
 
 
+def test_prune_order_must_list_every_moment():
+    # a sweep over a partial order would never test the moments left out,
+    # and would keep 12 worlds here where the fixpoint keeps 5
+    sigma = subformula_closure(parse("A<>p -> (X ~p <-> ~X p)"))
+    store = enumerate_irreducibles(sigma, itlc.Caps(max_moments=3000))
+    assert len(prune_profile(store, 0).worlds) == 5
+    for order in ([], list(store.moments[1:]), list(store.moments) + [store.moments[0]]):
+        with pytest.raises(ValueError, match="every moment"):
+            prune_profile(store, 0, order=order)
+
+
+def test_prune_matches_the_sweeping_oracle():
+    import random
+
+    from oracles import prune_oracle
+
+    rng = random.Random(43)
+    texts = ["<>#", "A<>p -> (X ~p <-> ~X p)", "<>p <-> (p | X<>p)", "E p -> <>p"]
+    contexts = [subformula_closure(parse(t)) for t in texts]
+    while len(contexts) < 28:
+        sigma = subformula_closure(itlc.eliminate_exists(
+            itlc.random_formula(rng, depth=4, modalities=itlc.DIAMOND_FRAGMENT)))
+        if sigma.ev_pairs and len(sigma) <= 12:
+            contexts.append(sigma)
+    pruned = 0
+    for sigma in contexts:
+        store = enumerate_irreducibles(sigma, itlc.Caps(max_moments=200))
+        shuffled = list(store.moments)
+        rng.shuffle(shuffled)
+        for profile in itlc.labels.profile_masks(sigma):
+            worlds, edges = prune_oracle(store, profile)
+            for order in (None, shuffled):
+                q = prune_profile(store, profile, order=order)
+                assert (q.worlds, q.s_edges) == (worlds, edges), sigma.formulas[-1]
+            pruned += 0 < len(worlds) < len(store.moments)
+    assert pruned > 20
+
+
 def test_prune_empty_result_is_allowed():
     sigma = subformula_closure(parse("A<>p"))
     viable = itlc.viable_types(sigma, sigma.forall_mask)
@@ -464,6 +502,15 @@ def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system
     assert len(clocks) == 1
     assert clocks[0].seen >= {"type enumeration", "simulation pruning",
                               "successor construction"}
+
+
+def test_label_viability_keeps_its_timeout():
+    # a depth-5 draw whose viability fixpoint runs for seconds: the
+    # deadline is checked per type tested, and a test is one set scan
+    f = parse("((E# -> <>r) & EXr -> <>(r & p) & (Ar -> Er)) -> <>Ap")
+    start = time.monotonic()
+    assert decide(f, itlc.Caps(timeout=0.3)).kind == "RESOURCE_LIMIT"
+    assert time.monotonic() - start < 1.3
 
 
 def test_decoded_certificate_reads_back_its_own_json(flagship):
