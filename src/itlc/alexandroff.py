@@ -135,6 +135,9 @@ def system(names, order_pairs, mapping) -> FiniteSystem:
             raise SchemaError(f"order: unknown element in ({a!r}, {b!r})")
         pairs.append((index[a], index[b]))
     down = _order_closure(len(names), pairs)
+    for name in mapping:
+        if name not in index:
+            raise SchemaError(f"map: unknown element {name!r}")
     f = []
     for name in names:
         if name not in mapping:

@@ -29,6 +29,14 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
+def _count(text: str) -> int:
+    """A command-line count, which must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no
@@ -65,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("countermodel", help="search small systems falsifying a formula")
     p.add_argument("formula")
-    p.add_argument("--max-points", type=int, default=3)
+    p.add_argument("--max-points", type=_count, default=3)
     add_format(p, ("text", "json"))
     add_caps(p)
 
@@ -89,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_caps(p)
 
     p = sub.add_parser("random-system", help="emit a seeded random system")
-    p.add_argument("points", type=int)
+    p.add_argument("points", type=_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     return top

@@ -10,7 +10,6 @@ nearby; a sensible pair is a now/next-compatible pair of types.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .config import NO_DEADLINE, Deadline
@@ -226,15 +225,10 @@ def profile_masks(sigma: SigmaContext) -> list[int]:
     A profile fixes which forall-formulas appear in every label of a
     candidate structure; the subsets are ordered by ascending mask.
     """
-    forall_indices = [i for i, _ in sigma.forall_pairs]
-    masks = []
-    for bits in itertools.product((0, 1), repeat=len(forall_indices)):
-        m = 0
-        for take, i in zip(bits, reversed(forall_indices)):
-            if take:
-                m |= 1 << i
-        masks.append(m)
-    return sorted(set(masks))
+    masks = [0]
+    for i, _ in sigma.forall_pairs:
+        masks += [m | 1 << i for m in masks]
+    return sorted(masks)
 
 
 def profile_compatible(sigma: SigmaContext, profile: int, mask: int) -> bool:

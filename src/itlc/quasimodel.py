@@ -54,6 +54,9 @@ class Quasimodel:
     Worlds are kept in canonical order; edges are index pairs.  profile
     is a mask over the context's universally quantified formulas, or
     None when the structure was not built against a fixed profile.
+    Two indexes are built once on first use: `_adjacency`, each world's
+    successors in ascending order, and `_beneath`, the ascending indices
+    of the worlds among each world's submoments, itself included.
     """
 
     sigma: SigmaContext
@@ -67,24 +70,23 @@ class Quasimodel:
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         rows: list[list[int]] = [[] for _ in self.worlds]
-        for a, b in sorted(self.s_edges):
+        for a, b in self.s_edges:
             if 0 <= a < len(rows):  # check_quasimodel reports the others
                 rows[a].append(b)
-        return tuple(map(tuple, rows))
+        return tuple(tuple(sorted(row)) for row in rows)
+
+    @cached_property
+    def _beneath(self) -> tuple[tuple[int, ...], ...]:
+        idx = self.world_index()
+        return tuple(tuple(sorted(idx[sub] for sub in m.subtrees() if sub in idx))
+                     for m in self.worlds)
 
     def successors(self, i: int) -> list[int]:
         return list(self._adjacency[i])
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """Strict submoment pairs (a, b) with world a below world b."""
-        idx = self.world_index()
-        out = []
-        for b, mb in enumerate(self.worlds):
-            for sub in mb.subtrees():
-                a = idx.get(sub)
-                if a is not None and a != b:
-                    out.append((a, b))
-        return sorted(out)
+        return sorted((a, b) for b, row in enumerate(self._beneath) for a in row if a != b)
 
     def root_lacks(self, index: int, formula_index: int) -> bool:
         return not self.worlds[index].label >> formula_index & 1
@@ -121,13 +123,13 @@ def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
         return Check(False, "duplicate worlds")
     for i, m in enumerate(q.worlds):
         deadline.check("certificate verification")
-        for sub in m.subtrees():
-            try:
-                check_kit(sigma, sub.label, sub.children)
-            except ItlcError as err:
-                return Check(False, f"world {i} is not a moment: {err}")
-            if sub not in idx:
-                return Check(False, f"world {i} has a submoment that is not a world")
+        try:
+            check_kit(sigma, m.label, m.children)
+        except ItlcError as err:
+            return Check(False, f"world {i} is not a moment: {err}")
+        # every submoment is a world, so its kit is checked in its own turn
+        if len(q._beneath[i]) != len(m.subtrees()):
+            return Check(False, f"world {i} has a submoment that is not a world")
     n = len(q.worlds)
     for k, (a, b) in enumerate(q.s_edges):
         if k % 256 == 0:
@@ -142,13 +144,14 @@ def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
     for k, (a, b) in enumerate(q.s_edges):
         if k % 256 == 0:
             deadline.check("certificate verification")
+        under_b = set(q._beneath[b])
         for sub in q.worlds[a].subtrees():
             a2 = idx[sub]
-            if not any((a2, idx[t]) in q.s_edges for t in q.worlds[b].subtrees()):
+            if under_b.isdisjoint(q._adjacency[a2]):
                 return Check(False,
                              f"edge ({a},{b}) not confluent below world {a2}")
     found = {fb: realizers(range(n), lambda v: q.worlds[v].label >> fb & 1,
-                           lambda v, targets: any(j in targets for j in q.successors(v)),
+                           lambda v, targets: any(j in targets for j in q._adjacency[v]),
                            deadline, "certificate verification")
              for _, fb in sigma.ev_pairs}
     for i in range(n):
@@ -344,11 +347,9 @@ def complete_path_below(q: Quasimodel, path: list[int], v0: int) -> list[int]:
             raise ValueError(f"({a},{b}) is not an edge")
     if not below(q.worlds[v0], q.worlds[path[0]]):
         raise ValueError("start world is not below the path start")
-    idx = q.world_index()
     out = [v0]
     for b in path[1:]:
-        beneath = sorted(idx[t] for t in q.worlds[b].subtrees() if t in idx)
-        step = next((u for u in beneath if (out[-1], u) in q.s_edges), None)
+        step = next((u for u in q._beneath[b] if (out[-1], u) in q.s_edges), None)
         if step is None:
             raise InvariantViolation("confluence failed while completing a path")
         out.append(step)
@@ -644,7 +645,6 @@ def _generated(q: Quasimodel, seeds: list[int],
     and honest because the seeds include a world lacking the body of
     every A-formula outside the profile.
     """
-    idx = q.world_index()
     worlds: set[int] = set()
     edges: set[tuple[int, int]] = set()
     new_worlds = list(reversed(seeds))
@@ -663,16 +663,15 @@ def _generated(q: Quasimodel, seeds: list[int],
             if i in worlds:
                 continue
             worlds.add(i)
-            new_worlds.extend(sorted((idx[sub] for sub in q.worlds[i].subtrees()),
-                                     reverse=True))
+            new_worlds.extend(reversed(q._beneath[i]))
             lasso = build_realizing_path(q, i)
             walk = lasso.prefix + lasso.loop + lasso.loop[:1]
             for a, b in zip(walk, walk[1:]):
                 keep(a, b)
             continue
         a, b = new_edges.pop()
-        under_b = sorted(idx[t] for t in q.worlds[b].subtrees())
-        for a2 in sorted(idx[sub] for sub in q.worlds[a].subtrees()):
+        under_b = q._beneath[b]
+        for a2 in q._beneath[a]:
             if not any((a2, t) in edges for t in under_b):
                 keep(a2, next(t for t in under_b if (a2, t) in q.s_edges))
     kept = sorted(worlds)

@@ -122,6 +122,19 @@ def test_random_system_deterministic_bytes(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("argv", [
+    ["random-system", "0"],
+    ["random-system", "-3"],
+    ["countermodel", "X p -> p", "--max-points", "0"],
+    ["countermodel", "X p -> p", "--max-points", "-1"],
+])
+def test_counts_below_one_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
 def test_schema_error_names_pair(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -7,7 +7,7 @@ import pytest
 import itlc
 from itlc.formula import parse
 from itlc.labels import subformula_closure, type_set
-from itlc.moments import enumerate_irreducibles, moment
+from itlc.moments import below, enumerate_irreducibles, moment
 from itlc.quasimodel import (Lasso, Quasimodel, build_realizing_path,
                              check_quasimodel, complete_path_below, decide,
                              extract_quasimodel, falsified_members,
@@ -162,6 +162,31 @@ def test_insensible_edge_fails(flagship_sigma, worked_moments):
     outcome = check_quasimodel(q)
     assert not outcome
     assert "sensible" in outcome.reason
+
+
+def test_non_confluent_edge_fails(flagship_sigma, worked_moments):
+    mu, mv, mw = worked_moments
+    worlds = tuple(sorted([mu, mv, mw], key=lambda m: m.key))
+    idx = {m: i for i, m in enumerate(worlds)}
+    # mv lies below mu, but its only successor mw lies below no world under mu
+    edges = frozenset({(idx[mu], idx[mu]), (idx[mv], idx[mw]), (idx[mw], idx[mw])})
+    q = Quasimodel(flagship_sigma, worlds, edges, flagship_sigma.forall_mask)
+    outcome = check_quasimodel(q)
+    assert not outcome
+    assert outcome.reason == f"edge ({idx[mu]},{idx[mu]}) not confluent below world {idx[mv]}"
+
+
+def _strict_below_pairs(q):
+    n = len(q.worlds)
+    return [(a, b) for a in range(n) for b in range(n)
+            if a != b and below(q.worlds[a], q.worlds[b])]
+
+
+def test_golden_order_pairs_are_the_strict_submoment_pairs(golden_quasimodel,
+                                                          worked_moments):
+    q, idx = golden_quasimodel
+    mu, mv, _ = worked_moments
+    assert q.order_pairs() == _strict_below_pairs(q) == [(idx[mv], idx[mu])]
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +369,8 @@ def test_certificate_is_generated_inside_the_pruned_structure(monkeypatch, text)
     old = {new: i for i, new in renumber.items()}
     assert all(shrunk.worlds[k] is pruned.worlds[old[k]] for k in range(len(shrunk.worlds)))
     assert {(old[a], old[b]) for a, b in shrunk.s_edges} <= pruned.s_edges
+    assert pruned.order_pairs() == _strict_below_pairs(pruned)
+    assert shrunk.order_pairs() == _strict_below_pairs(shrunk)
     if text in CERT_WORLDS:
         assert len(shrunk.worlds) == CERT_WORLDS[text]
 
