@@ -55,8 +55,12 @@ class SigmaContext:
         self.forall_mask = 0
         for i, _ in self.forall_pairs:
             self.forall_mask |= 1 << i
+        self.next_body_mask = 0
+        for _, b in self.next_pairs:
+            self.next_body_mask |= 1 << b
 
         self._type_masks: tuple[int, ...] | None = None
+        self._patterns: dict[int, tuple[int, int] | None] = {}
         self._moment_cache: dict = {}
         self._fold_memo: dict = {}
         self._succ_memo: dict = {}
@@ -138,16 +142,40 @@ class SigmaContext:
         return tuple(i for i, l, _ in self.impl_triples
                      if not mask >> i & 1 and not mask >> l & 1)
 
-    def sensible_masks(self, now: int, nxt: int) -> bool:
+    def successor_pattern(self, mask: int) -> tuple[int, int] | None:
+        """The pattern (M, V) of the masks that may follow mask: w may
+        follow exactly when w & M == V, or no w may when this is None.
+
+        The rules of a sensible pair each pin one bit of the successor.
+        An `X` formula pins its body to its own value, an `A` formula
+        pins itself, and an eventuality pins itself too unless mask holds
+        its body, in which case mask must hold the eventuality.  The
+        pattern is None when two rules pin one bit to different values,
+        for example `X<>r` absent while `<>r` is owed next.
+        """
+        value = 0
         for i, b in self.next_pairs:
-            if now >> i & 1 != nxt >> b & 1:
-                return False
+            value |= (mask >> i & 1) << b
+        care = self.forall_mask
         for i, b in self.ev_pairs:
-            if now >> i & 1 != (now >> b & 1 or nxt >> i & 1):
-                return False
-        if now & self.forall_mask != nxt & self.forall_mask:
-            return False
-        return True
+            if not mask >> b & 1:
+                care |= 1 << i
+            elif not mask >> i & 1:
+                return None
+        # an X body that is also an A formula or an owed eventuality is
+        # pinned twice: to the X formula's value and to its own
+        if (value ^ mask) & self.next_body_mask & care:
+            return None
+        return care | self.next_body_mask, value | mask & care
+
+    def sensible_masks(self, now: int, nxt: int) -> bool:
+        """Whether nxt may follow now, by now's `successor_pattern`,
+        which is computed once per mask and context."""
+        try:
+            pattern = self._patterns[now]
+        except KeyError:
+            pattern = self._patterns[now] = self.successor_pattern(now)
+        return pattern is not None and nxt & pattern[0] == pattern[1]
 
     def format_mask(self, mask: int) -> str:
         members = [str(self.formulas[i]) for i in range(len(self.formulas)) if mask >> i & 1]
@@ -231,14 +259,31 @@ def profile_masks(sigma: SigmaContext) -> list[int]:
     return sorted(masks)
 
 
+def profile_pattern(sigma: SigmaContext, profile: int) -> tuple[int, int] | None:
+    """The pattern (FM, FV) of the labels that follow the profile: a label
+    does exactly when label & FM == FV.  FM covers the `A` bits and the
+    bodies the profile promises; None when no label can follow it."""
+    bodies = 0
+    for i, b in sigma.forall_pairs:
+        if profile >> i & 1:
+            bodies |= 1 << b
+    if profile & ~sigma.forall_mask or bodies & sigma.forall_mask & ~profile:
+        return None
+    return sigma.forall_mask | bodies, profile | bodies
+
+
 def profile_compatible(sigma: SigmaContext, profile: int, mask: int) -> bool:
     """Label agrees with the profile and carries every promised body."""
-    if mask & sigma.forall_mask != profile:
-        return False
-    for i, b in sigma.forall_pairs:
-        if profile >> i & 1 and not mask >> b & 1:
-            return False
-    return True
+    pattern = profile_pattern(sigma, profile)
+    return pattern is not None and mask & pattern[0] == pattern[1]
+
+
+def _blocks(items, deadline: Deadline):
+    """The items in lists of 256, checking the deadline before each list."""
+    items = list(items)
+    for start in range(0, len(items), 256):
+        deadline.check("label viability")
+        yield items[start:start + 256]
 
 
 def viable_types(sigma: SigmaContext, profile: int,
@@ -251,32 +296,65 @@ def viable_types(sigma: SigmaContext, profile: int,
     sensible path of surviving labels, and (c) have, for each of its
     defects, a strictly larger surviving label witnessing the antecedent
     without the consequent.  Pruning to the greatest such set is sound:
-    a type outside it can appear in no such structure.  A round drops the
-    types failing (a) or (c), then those owing an eventuality outside its
-    `realizers`, and a round that drops nothing ends it; the deadline is
-    checked once per type tested, and a test scans a set of types once.
+    a type outside it can appear in no such structure, and the removal
+    order does not change it.
+
+    The survivors are indexed by their `successor_pattern` (M, V), and M
+    takes few distinct values.  A round first drops the types failing (a)
+    or (c): (a) looks (M, V) up in the set of keys (M, w & M) of the
+    survivors w, and (c) searches, for each defect, the list of
+    survivors holding its antecedent and not its consequent.  It then
+    runs one backward search per eventuality from the survivors holding
+    its body: survivors without the body wait under their pattern, and
+    each newly reached w releases the waiters under (M, w & M).  Those
+    owing the eventuality and never reached are dropped, and a round that
+    drops nothing ends it.  Every loop over types checks the deadline
+    once per 256 types.
     """
-    alive = {m for m in sigma.type_masks(deadline) if profile_compatible(sigma, profile, m)}
-
-    def steps_into(v: int, targets) -> bool:
-        return any(sigma.sensible_masks(v, w) for w in targets)
-
-    def revoked(m: int) -> bool:
-        return all(any(v != m and v & m == m and v >> a & 1 and not v >> c & 1 for v in alive)
-                   for i, a, c in sigma.impl_triples if not m >> i & 1 and not m >> a & 1)
-
+    types = sigma.type_masks(deadline)
+    pattern = profile_pattern(sigma, profile)
+    if pattern is None:
+        return frozenset()
+    fm, fv = pattern
+    patterns = {m: sigma.successor_pattern(m)
+                for block in _blocks(types, deadline) for m in block if m & fm == fv}
+    alive = {m for m, p in patterns.items() if p is not None}
     before = None
     while len(alive) != before:
         before = len(alive)
-        for m in sorted(alive):
-            deadline.check("label viability")
-            if not steps_into(m, alive) or not revoked(m):
-                alive.discard(m)
+        cares = {patterns[m][0] for m in alive}
+        keys = {(care, w & care) for block in _blocks(alive, deadline)
+                for w in block for care in cares}
+        revokers = {(a, c): [v for block in _blocks(alive, deadline)
+                             for v in block if v >> a & 1 and not v >> c & 1]
+                    for _, a, c in sigma.impl_triples}
+        alive = {m for block in _blocks(alive, deadline) for m in block
+                 if patterns[m] in keys
+                 and all(any(v & m == m for v in revokers[a, c])
+                         for i, a, c in sigma.impl_triples if not m >> i & 1 and not m >> a & 1)}
         for i, b in sigma.ev_pairs:
-            found = realizers(sorted(alive), lambda v: v >> b & 1, steps_into,
-                              deadline, "label viability")
-            alive -= {m for m in alive if m >> i & 1 and m not in found}
+            reached = _reach_back(alive, patterns, b, deadline)
+            alive = {m for m in alive if not m >> i & 1 or m in reached}
     return frozenset(alive)
+
+
+def _reach_back(alive, patterns, b: int, deadline: Deadline) -> set[int]:
+    """The members of alive from which a sensible path through alive
+    reaches one holding bit b, found breadth first from those."""
+    frontier = [w for w in alive if w >> b & 1]
+    reached = set(frontier)
+    waiting: dict[tuple[int, int], list[int]] = {}
+    for block in _blocks(alive, deadline):
+        for v in block:
+            if not v >> b & 1:
+                waiting.setdefault(patterns[v], []).append(v)
+    cares = {care for care, _ in waiting}
+    while frontier:
+        released = [v for block in _blocks(frontier, deadline) for w in block
+                    for care in cares for v in waiting.pop((care, w & care), ())]
+        reached.update(released)
+        frontier = released
+    return reached
 
 
 def realizers(nodes, holds, steps_into, deadline: Deadline, what: str) -> set:

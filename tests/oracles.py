@@ -204,6 +204,21 @@ def _path_to(start, successors, goal):
     return False
 
 
+def sensible_oracle(sigma, now, nxt):
+    """Whether nxt may follow now, by the three rules checked one formula
+    at a time: next-formulas transfer to their bodies, eventualities hold
+    now iff realized now or owed next, and universal members agree."""
+    for i, b in sigma.next_pairs:
+        if now >> i & 1 != nxt >> b & 1:
+            return False
+    for i, b in sigma.ev_pairs:
+        if now >> i & 1 != (now >> b & 1 or nxt >> i & 1):
+            return False
+    if now & sigma.forall_mask != nxt & sigma.forall_mask:
+        return False
+    return True
+
+
 def viability_oracle(sigma, profile):
     """The label-viability fixpoint swept type by type: in ascending
     order, drop a profile-compatible type with no sensible successor

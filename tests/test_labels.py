@@ -216,6 +216,32 @@ def test_viable_types_match_the_sweeping_oracle(flagship_sigma):
     assert dropped > 50
 
 
+def test_successor_pattern_matches_the_literal_rules(flagship_sigma):
+    from oracles import sensible_oracle
+
+    rng = random.Random(53)
+    # each pins one bit twice: an X body that is an eventuality or an A formula
+    contexts = [flagship_sigma] + [subformula_closure(parse(s)) for s in
+                                   ("X<>r -> <>r", "XAp -> Ap", "X<>Ap & XX<>q -> <>X<>q")]
+    while len(contexts) < 40:
+        sigma = subformula_closure(itlc.eliminate_exists(
+            itlc.random_formula(rng, depth=4, modalities=itlc.DIAMOND_FRAGMENT)))
+        if (sigma.next_pairs or sigma.ev_pairs) and len(sigma) <= 14:
+            contexts.append(sigma)
+    pinned_twice = 0
+    for sigma in contexts:
+        # tiny contexts: every mask, not only the types
+        masks = range(1 << len(sigma)) if len(sigma) <= 6 else sigma.type_masks()
+        for now in masks:
+            pattern = sigma.successor_pattern(now)
+            pinned_twice += pattern is None and sigma.is_type_mask(now)
+            for nxt in masks:
+                expected = sensible_oracle(sigma, now, nxt)
+                assert (pattern is not None and nxt & pattern[0] == pattern[1]) == expected
+                assert sigma.sensible_masks(now, nxt) == expected
+    assert pinned_twice > 0
+
+
 def test_type_serialization_indices(worked_labels):
     lu, _, _ = worked_labels
     assert lu.indices() == tuple(sorted(lu.indices()))

@@ -10,7 +10,7 @@ from itlc.labels import subformula_closure, type_set
 from itlc.moments import below, enumerate_irreducibles, moment
 from itlc.quasimodel import (Lasso, Quasimodel, build_realizing_path,
                              check_quasimodel, complete_path_below, decide,
-                             extract_quasimodel, falsified_members,
+                             extract_quasimodel, falsified_members, fragment_context,
                              prune_profile, verify_certificate)
 
 
@@ -336,6 +336,28 @@ def test_decide_exhaustion_backstop(monkeypatch):
     assert verify_certificate(verdict.certificate, flagship)
 
 
+# Draws of random_formula(Random(7), 5, ("p", "q", "r"), {X, <>, A, E}) that
+# ran past a 10 s timeout while viability scanned the surviving types
+# pairwise, and a formula that scan held up for most of a second.
+FRONTIER = {"X(E(r & r) | XXp) -> (XXr | A(q | r)) & X<>X#": "FALSIFIABLE",
+            "((<>(q -> p) -> r | (q -> q)) -> <>A<>p) -> X(Er & A#) | "
+            "(X# & (r -> q) | (Ep -> r -> p))": "FALSIFIABLE",
+            "XX(# & p) & EEXq -> EXEXp": "VALID",
+            "((# -> r) & <>r -> Ar -> Eq) & (<>Xp -> EXq) -> A<>(<># | ~q)": "FALSIFIABLE",
+            "X(((q | # -> <>#) -> E#) | (<><>p -> Ep -> Eq))": "FALSIFIABLE"}
+
+
+@pytest.mark.parametrize("text", sorted(FRONTIER))
+def test_frontier_draws_are_decided(text):
+    f = parse(text)
+    verdict = decide(f, itlc.Caps(timeout=10))
+    assert (verdict.kind, verdict.complete) == (FRONTIER[text], True)
+    if verdict.kind == "FALSIFIABLE":
+        assert verify_certificate(json.loads(verdict.certificate.to_json_text()), f)
+    else:
+        assert itlc.find_countermodel(f, 3) is None
+
+
 VALIDITIES = ("p -> p", "<>p <-> (p | X<>p)", "X(p & q) <-> (X p & X q)",
               "X(p -> q) -> (X p -> X q)")
 HARD = ("X ~p <-> ~X p", "A<>p -> (X ~p <-> ~X p)", "p1 | p2 | p3 | p4 | p5 | p6 -> p1",
@@ -532,11 +554,19 @@ def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system
 
 
 def test_label_viability_keeps_its_timeout():
-    # a depth-5 draw whose viability fixpoint runs for seconds: the
-    # deadline is checked per type tested, and a test is one set scan
-    f = parse("((E# -> <>r) & EXr -> <>(r & p) & (Ar -> Er)) -> <>Ap")
+    # a depth-5 draw of 172,320 types whose empty profile alone keeps the
+    # viability fixpoint busy for over a second: every loop over types
+    # checks the deadline once per 256 types
+    f = parse("E<>(r -> q) | ((q -> r & #) -> EXp) -> X(AXp -> EEr)")
     start = time.monotonic()
     assert decide(f, itlc.Caps(timeout=0.3)).kind == "RESOURCE_LIMIT"
+    assert time.monotonic() - start < 1.3
+
+    sigma = fragment_context(f)[1]
+    sigma.type_masks()
+    start = time.monotonic()
+    with pytest.raises(itlc.CapExceeded, match=r"^label viability passed "):
+        itlc.viable_types(sigma, 0, itlc.Caps(timeout=0.3).deadline())
     assert time.monotonic() - start < 1.3
 
 
