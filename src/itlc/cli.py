@@ -125,22 +125,9 @@ def _quasimodel_dot(q: quasimodel.Quasimodel) -> str:
     return "\n".join(lines)
 
 
-def _verdict_dot(kind: str) -> str:
-    """An empty graph labelled with a verdict that carries no quasimodel."""
-    return f'digraph verdict {{\n  label="{kind}";\n}}'
-
-
 def _cmd_decide(args) -> int:
     target = parse(args.formula)
     verdict = quasimodel.decide(target, _caps(args))
-    if verdict.kind == "VALID":
-        if args.format == "json":
-            _emit(json.dumps({"verdict": "VALID", "complete": True}, indent=2))
-        elif args.format == "dot":
-            _emit(_verdict_dot("VALID"))
-        else:
-            _emit("VALID")
-        return EXIT_OK
     if verdict.kind == "FALSIFIABLE":
         cert = verdict.certificate
         if args.out:
@@ -156,13 +143,14 @@ def _cmd_decide(args) -> int:
                   f"{q.sigma.format_mask(q.worlds[cert.witness].label)}")
             _emit(f"quasimodel: {len(q.worlds)} worlds, {len(q.s_edges)} edges")
         return EXIT_FOUND
+    # VALID or RESOURCE_LIMIT, which carry no quasimodel
     if args.format == "json":
-        _emit(json.dumps({"verdict": "RESOURCE_LIMIT", "complete": False}, indent=2))
+        _emit(json.dumps({"verdict": verdict.kind, "complete": verdict.complete}, indent=2))
     elif args.format == "dot":
-        _emit(_verdict_dot("RESOURCE_LIMIT"))
+        _emit(f'digraph verdict {{\n  label="{verdict.kind}";\n}}')
     else:
-        _emit("RESOURCE LIMIT")
-    return EXIT_RESOURCE
+        _emit(verdict.kind.replace("_", " "))
+    return EXIT_OK if verdict.complete else EXIT_RESOURCE
 
 
 def _valued_system(path, f):

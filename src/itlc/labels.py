@@ -66,10 +66,6 @@ class SigmaContext:
         self._succ_memo: dict = {}
         self._reduce_memo: dict = {}
 
-    @classmethod
-    def from_formula(cls, f: Formula) -> "SigmaContext":
-        return cls(subformulas(f))
-
     def __len__(self) -> int:
         return len(self.formulas)
 
@@ -168,13 +164,18 @@ class SigmaContext:
             return None
         return care | self.next_body_mask, value | mask & care
 
+    def pattern_of(self, mask: int) -> tuple[int, int] | None:
+        """mask's `successor_pattern`, computed once per mask and context."""
+        if mask not in self._patterns:
+            self._patterns[mask] = self.successor_pattern(mask)
+        return self._patterns[mask]
+
     def sensible_masks(self, now: int, nxt: int) -> bool:
-        """Whether nxt may follow now, by now's `successor_pattern`,
-        which is computed once per mask and context."""
+        """Whether nxt may follow now, by now's `pattern_of`."""
         try:
             pattern = self._patterns[now]
         except KeyError:
-            pattern = self._patterns[now] = self.successor_pattern(now)
+            pattern = self.pattern_of(now)
         return pattern is not None and nxt & pattern[0] == pattern[1]
 
     def format_mask(self, mask: int) -> str:
@@ -184,7 +185,7 @@ class SigmaContext:
 
 def subformula_closure(f: Formula) -> SigmaContext:
     """Smallest subformula-closed context containing f."""
-    return SigmaContext.from_formula(f)
+    return SigmaContext(subformulas(f))
 
 
 @dataclass(frozen=True)

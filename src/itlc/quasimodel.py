@@ -32,8 +32,8 @@ from .formula import (Forall, Formula, eliminate_exists, format_formula,
                       in_diamond_fragment, parse)
 from .labels import (SigmaContext, profile_compatible, profile_masks, realizers,
                      subformula_closure, viable_types)
-from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, below, check_kit,
-                      moment, temporal_successor)
+from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _successor, below,
+                      check_kit, moment)
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ class Quasimodel:
     Worlds are kept in canonical order; edges are index pairs.  profile
     is a mask over the context's universally quantified formulas, or
     None when the structure was not built against a fixed profile.
-    Two indexes are built once on first use: `_adjacency`, each world's
-    successors in ascending order, and `_beneath`, the ascending indices
-    of the worlds among each world's submoments, itself included.
+    Two indexes are built on first use or handed over: `_adjacency`, each
+    world's ascending successors, and `_beneath`, the ascending indices of
+    the worlds among each world's submoments, itself included.
     """
 
     sigma: SigmaContext
@@ -207,6 +207,8 @@ def prune_profile(store: MomentStore, profile, order=None) -> Quasimodel:
 
 def _prune(sigma: SigmaContext, moments, mask: int, order=None,
            deadline: Deadline = NO_DEADLINE) -> Quasimodel:
+    """`prune_profile` under a deadline, taking `order` as given; the survivors'
+    rows, renumbered and so still ascending, become the result's `_adjacency`."""
     carrier = tuple(sorted({m for m in moments
                             if all(profile_compatible(sigma, mask, l) for l in m.node_labels())},
                            key=lambda m: m.key))
@@ -232,19 +234,40 @@ def _prune(sigma: SigmaContext, moments, mask: int, order=None,
                               lambda i: carrier[i].label >> fb & 1, steps_into,
                               deadline, "profile pruning")
             alive -= {i for i in alive if carrier[i].label >> fi & 1 and i not in found}
-    kept = sorted(alive)
-    renumber = {i: k for k, i in enumerate(kept)}
-    edges = frozenset((renumber[i], renumber[j]) for i in kept for j in succ[i] if j in alive)
-    return Quasimodel(sigma, tuple(carrier[i] for i in kept), edges, mask)
+    renumber = {i: k for k, i in enumerate(sorted(alive))}
+    return _with_rows(sigma, tuple(carrier[i] for i in renumber),
+                      [[renumber[j] for j in succ[i] if j in renumber] for i in renumber], mask)
 
 
-def _successor_lists(moments: tuple[Moment, ...], deadline: Deadline) -> list[list[int]]:
-    """For each moment, the indices of the moments that can follow it."""
+def _successor_lists(moments, deadline: Deadline = NO_DEADLINE) -> list[list[int]]:
+    """For each moment v, the ascending indices of the moments w with
+    `temporal_successor(v, w)`.  The moments are grouped by (M, w.label & M)
+    for each M among their root patterns (M, V), so the group keyed by v's
+    pattern holds the w whose roots may follow v's (none if it is None).
+    A one-node v takes that group as its row, shared; a v with children
+    keeps the w in it for which each child of v is followed by some
+    submoment of w.  The deadline is checked once per row."""
+    patterns = [v.sigma.pattern_of(v.label) for v in moments]
+    groups: dict[tuple[int, int] | None, list[int]] = {}
+    for care in {p[0] for p in patterns if p is not None}:
+        for j, w in enumerate(moments):
+            groups.setdefault((care, w.label & care), []).append(j)
     rows = []
-    for v in moments:
+    for v, pattern in zip(moments, patterns):
         deadline.check("successor construction")
-        rows.append([j for j, w in enumerate(moments) if temporal_successor(v, w)])
+        group = groups.get(pattern, [])
+        rows.append([j for j in group if all(any(_successor(c, t) for t in moments[j].subtrees())
+                                             for c in v.children)] if v.children else group)
     return rows
+
+
+def _with_rows(sigma: SigmaContext, worlds, rows, profile: int | None) -> Quasimodel:
+    """The quasimodel whose edges are the given ascending successor rows,
+    which it keeps as its `_adjacency` rather than rebuild them."""
+    q = Quasimodel(sigma, worlds, frozenset((i, j) for i, row in enumerate(rows) for j in row),
+                   profile)
+    vars(q)["_adjacency"] = tuple(map(tuple, rows))
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +349,7 @@ def _lasso_problem(q: Quasimodel, start: int, lasso: Lasso) -> str | None:
         for fi, fb in sigma.ev_pairs:
             if not label >> fi & 1:
                 continue
-            if pos < loop_start:
-                tail = seq[pos:]
-            else:
-                tail = seq[loop_start:]
-            if not any(q.worlds[j].label >> fb & 1 for j in tail):
+            if not any(q.worlds[j].label >> fb & 1 for j in seq[min(pos, loop_start):]):
                 return f"eventuality {sigma.formulas[fi]} unrealized at position {pos}"
     return None
 
@@ -712,11 +731,8 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
     deadline = caps.deadline()
     point_labels = []
     truth = {f: alexandroff.evaluate(system, valuation, f) for f in sigma.formulas}
-    for i, name in enumerate(system.names):
-        mask = 0
-        for f, members in truth.items():
-            if name in members:
-                mask |= 1 << sigma.index[f]
+    for name in system.names:
+        mask = sum(1 << sigma.index[f] for f, members in truth.items() if name in members)
         if not sigma.is_type_mask(mask):
             raise InvariantViolation(f"point {name} carries a non-type label")
         point_labels.append(mask)
@@ -752,14 +768,12 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
     worlds = tuple(sorted({m for m, _ in alive}, key=lambda m: m.key))
     idx = {m: i for i, m in enumerate(worlds)}
     succ = _successor_lists(worlds, deadline)
-    edges = frozenset((i, j) for i, row in enumerate(succ) for j in row)
     for m, x in alive:
         y = system.f[x]
         if not any((worlds[j], y) in alive for j in succ[idx[m]]):
             raise InvariantViolation("simulation is not dynamic")
 
-    forall_part = worlds[0].label & sigma.forall_mask if worlds else 0
-    q = Quasimodel(sigma, worlds, edges, forall_part)
+    q = _with_rows(sigma, worlds, succ, worlds[0].label & sigma.forall_mask if worlds else 0)
     confirmed = check_quasimodel(q)
     if not confirmed:
         raise InvariantViolation(f"extracted structure invalid: {confirmed.reason}")
@@ -768,8 +782,5 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
 
 def falsified_members(q: Quasimodel) -> tuple[Formula, ...]:
     """Context formulas some world's root label omits."""
-    out = []
-    for i, f in enumerate(q.sigma.formulas):
-        if any(not m.label >> i & 1 for m in q.worlds):
-            out.append(f)
-    return tuple(out)
+    return tuple(f for i, f in enumerate(q.sigma.formulas)
+                 if any(not m.label >> i & 1 for m in q.worlds))

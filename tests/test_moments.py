@@ -9,7 +9,7 @@ from itlc.labels import (SigmaContext, enumerate_types, profile_masks, subformul
 from itlc.moments import (_Generation, _SizeGeneration, below, enumerate_irreducibles,
                           graft, is_irreducible, moment, reduce, submoment,
                           temporal_successor)
-from itlc.quasimodel import fragment_context
+from itlc.quasimodel import _successor_lists, fragment_context
 from oracles import all_moments_upto, reduction_oracle, successor_oracle
 
 p = Atom("p")
@@ -382,6 +382,22 @@ def test_successor_fixpoint_matches_brute_force(text):
                 assert got == literal, (v, w)
                 relation_checked += 1
     assert relation_checked > 0
+
+
+# the universes of the test above, one whose root patterns (M, V) take two
+# masks M, and one where a label with <>p but neither p nor X<>p has none
+@pytest.mark.parametrize("text, max_nodes", [("X p", 4), ("<>p", 4), ("X p -> p", 3),
+                                             ("A<>p -> (X ~p <-> ~X p)", 2), ("X<>p", 3)])
+def test_successor_rows_match_the_pairwise_relation(text, max_nodes):
+    sigma = subformula_closure(parse(text))
+    universe = all_moments_upto(sigma, max_nodes)
+    assert _successor_lists(universe) == [[j for j, w in enumerate(universe)
+                                           if temporal_successor(v, w)] for v in universe]
+    patterns = [sigma.successor_pattern(m.label) for m in universe]
+    if text == "X<>p":
+        assert any(p is None and m.children for p, m in zip(patterns, universe))
+    if text.startswith("A"):
+        assert len({p[0] for p in patterns if p is not None}) > 1
 
 
 def test_forward_confluence_exhaustive():

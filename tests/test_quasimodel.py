@@ -397,6 +397,34 @@ def test_certificate_is_generated_inside_the_pruned_structure(monkeypatch, text)
         assert len(shrunk.worlds) == CERT_WORLDS[text]
 
 
+def _holds_its_own_rows(q):
+    """Whether q was handed successor rows, equal to those its edges give."""
+    rebuilt = Quasimodel(q.sigma, q.worlds, q.s_edges, q.profile)
+    return "_adjacency" in vars(q) and q._adjacency == rebuilt._adjacency
+
+
+def test_pruned_structures_hold_their_own_rows(monkeypatch):
+    pruned = []
+    prune = itlc.quasimodel._prune
+
+    def recording(*args):
+        pruned.append(prune(*args))
+        return pruned[-1]
+
+    monkeypatch.setattr(itlc.quasimodel, "_prune", recording)
+    for text in HARD:
+        decide(parse(text))
+    assert pruned and all(_holds_its_own_rows(q) for q in pruned)
+
+    import random
+    rng = random.Random(5)
+    sigma = subformula_closure(parse("A<>p -> (X ~p <-> ~X p)"))
+    store = enumerate_irreducibles(sigma, itlc.Caps(max_moments=3000))
+    for profile in itlc.labels.profile_masks(sigma):
+        for order in (None, list(reversed(store.moments)), rng.sample(store.moments, len(store))):
+            assert _holds_its_own_rows(prune_profile(store, profile, order=order))
+
+
 @pytest.mark.parametrize("text", ["(X p -> X q) -> X(p -> q)", "E(X(p -> q) | XXp)"])
 def test_small_countermodels_are_found_before_the_moment_cap(text):
     start = time.perf_counter()
