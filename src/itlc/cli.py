@@ -117,8 +117,8 @@ def _quasimodel_dot(q: quasimodel.Quasimodel) -> str:
     for i, m in enumerate(q.worlds):
         label = q.sigma.format_mask(m.label).replace('"', "'")
         lines.append(f'  n{i} [label="{i}: {label}"];')
-    for a, b in sorted(q.s_edges):
-        lines.append(f"  n{a} -> n{b};")
+    for a, row in enumerate(q.successors):
+        lines.extend(f"  n{a} -> n{b};" for b in row)
     for a, b in q.order_pairs():
         lines.append(f"  n{a} -> n{b} [style=dashed, arrowhead=empty];")
     lines.append("}")
@@ -141,7 +141,7 @@ def _cmd_decide(args) -> int:
             _emit("FALSIFIABLE")
             _emit(f"witness world {cert.witness} with root label "
                   f"{q.sigma.format_mask(q.worlds[cert.witness].label)}")
-            _emit(f"quasimodel: {len(q.worlds)} worlds, {len(q.s_edges)} edges")
+            _emit(f"quasimodel: {len(q.worlds)} worlds, {sum(map(len, q.successors))} edges")
         return EXIT_FOUND
     # VALID or RESOURCE_LIMIT, which carry no quasimodel
     if args.format == "json":

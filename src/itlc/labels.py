@@ -334,44 +334,31 @@ def viable_types(sigma: SigmaContext, profile: int,
                  and all(any(v & m == m for v in revokers[a, c])
                          for i, a, c in sigma.impl_triples if not m >> i & 1 and not m >> a & 1)}
         for i, b in sigma.ev_pairs:
-            reached = _reach_back(alive, patterns, b, deadline)
+            waiting: dict[tuple[int, int], list[int]] = {}
+            for block in _blocks(alive, deadline):
+                for v in block:
+                    if not v >> b & 1:
+                        waiting.setdefault(patterns[v], []).append(v)
+            held = {care for care, _ in waiting}
+            reached = reach_back([w for w in alive if w >> b & 1],
+                                 lambda w: [v for care in held
+                                            for v in waiting.pop((care, w & care), ())],
+                                 deadline, "label viability")
             alive = {m for m in alive if not m >> i & 1 or m in reached}
     return frozenset(alive)
 
 
-def _reach_back(alive, patterns, b: int, deadline: Deadline) -> set[int]:
-    """The members of alive from which a sensible path through alive
-    reaches one holding bit b, found breadth first from those."""
-    frontier = [w for w in alive if w >> b & 1]
-    reached = set(frontier)
-    waiting: dict[tuple[int, int], list[int]] = {}
-    for block in _blocks(alive, deadline):
-        for v in block:
-            if not v >> b & 1:
-                waiting.setdefault(patterns[v], []).append(v)
-    cares = {care for care, _ in waiting}
-    while frontier:
-        released = [v for block in _blocks(frontier, deadline) for w in block
-                    for care in cares for v in waiting.pop((care, w & care), ())]
-        reached.update(released)
-        frontier = released
-    return reached
-
-
-def realizers(nodes, holds, steps_into, deadline: Deadline, what: str) -> set:
-    """The nodes from which a path through nodes reaches one that holds,
-    grown backward in rounds: a round adds each remaining v with
-    steps_into(v, added), added being the round before's additions (a
-    step into earlier ones would have added v already).  The deadline is
-    checked, under what, once per node tested."""
-    rest = list(nodes)
-    added = {v for v in rest if holds(v)}
-    while added:
-        rest = [v for v in rest if v not in added]
-        fresh = set()
-        for v in rest:
+def reach_back(start, predecessors, deadline: Deadline, what: str) -> set:
+    """The nodes of start and those from which a path reaches one of them,
+    found breadth first: `predecessors(w)` lists the nodes with a step into
+    w.  The deadline is checked, under what, once per 256 nodes reached."""
+    reached = set(start)
+    queue = list(reached)
+    for k, w in enumerate(queue):  # the queue grows while it is read
+        if k % 256 == 0:
             deadline.check(what)
-            if steps_into(v, added):
-                fresh.add(v)
-        added = fresh
-    return set(nodes).difference(rest)
+        for v in predecessors(w):
+            if v not in reached:
+                reached.add(v)
+                queue.append(v)
+    return reached

@@ -30,7 +30,7 @@ from .errors import (CapExceeded, FragmentError, InvariantViolation,
                      ItlcError, SchemaError, read_json)
 from .formula import (Forall, Formula, eliminate_exists, format_formula,
                       in_diamond_fragment, parse)
-from .labels import (SigmaContext, profile_compatible, profile_masks, realizers,
+from .labels import (SigmaContext, profile_compatible, profile_masks, reach_back,
                      subformula_closure, viable_types)
 from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _successor, below,
                       check_kit, moment)
@@ -51,38 +51,32 @@ class Check:
 class Quasimodel:
     """Worlds (moments) with a successor relation and a universal profile.
 
-    Worlds are kept in canonical order; edges are index pairs.  profile
-    is a mask over the context's universally quantified formulas, or
-    None when the structure was not built against a fixed profile.
-    Two indexes are built on first use or handed over: `_adjacency`, each
-    world's ascending successors, and `_beneath`, the ascending indices of
-    the worlds among each world's submoments, itself included.
+    Worlds are kept in canonical order, and the successor relation is
+    stored once, as rows: successors[i] is the ascending tuple of world
+    i's successors.  profile is a mask over the context's universally
+    quantified formulas, or None when the structure was not built against
+    a fixed profile.  `_beneath`, the ascending indices of the worlds
+    among each world's submoments, itself included, is built on first use.
     """
 
     sigma: SigmaContext
     worlds: tuple[Moment, ...]
-    s_edges: frozenset[tuple[int, int]]
+    successors: tuple[tuple[int, ...], ...]
     profile: int | None = None
 
     def world_index(self) -> dict[Moment, int]:
         return {m: i for i, m in enumerate(self.worlds)}
 
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        rows: list[list[int]] = [[] for _ in self.worlds]
-        for a, b in self.s_edges:
-            if 0 <= a < len(rows):  # check_quasimodel reports the others
-                rows[a].append(b)
-        return tuple(tuple(sorted(row)) for row in rows)
+    @property
+    def s_edges(self) -> frozenset[tuple[int, int]]:
+        """The successor relation as index pairs, built from the rows."""
+        return frozenset((a, b) for a, row in enumerate(self.successors) for b in row)
 
     @cached_property
     def _beneath(self) -> tuple[tuple[int, ...], ...]:
         idx = self.world_index()
         return tuple(tuple(sorted(idx[sub] for sub in m.subtrees() if sub in idx))
                      for m in self.worlds)
-
-    def successors(self, i: int) -> list[int]:
-        return list(self._adjacency[i])
 
     def order_pairs(self) -> list[tuple[int, int]]:
         """Strict submoment pairs (a, b) with world a below world b."""
@@ -100,7 +94,7 @@ class Quasimodel:
             "profile": profile,
             "worlds": [{"id": i, "moment": m.to_json()} for i, m in enumerate(self.worlds)],
             "order": [list(p) for p in self.order_pairs()],
-            "s_edges": [list(p) for p in sorted(self.s_edges)],
+            "s_edges": [[a, b] for a, row in enumerate(self.successors) for b in row],
         }
 
 
@@ -114,7 +108,8 @@ class Lasso(NamedTuple):
 
 def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
     """Re-check every structural condition, naming the first failure;
-    each eventuality's body has its `realizers` grown once over the edges."""
+    each eventuality's body is searched back from once, by `reach_back`
+    along the inverted rows."""
     sigma = q.sigma
     if not q.worlds:
         return Check(False, "no worlds")
@@ -130,29 +125,33 @@ def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
         # every submoment is a world, so its kit is checked in its own turn
         if len(q._beneath[i]) != len(m.subtrees()):
             return Check(False, f"world {i} has a submoment that is not a world")
-    n = len(q.worlds)
-    for k, (a, b) in enumerate(q.s_edges):
-        if k % 256 == 0:
-            deadline.check("certificate verification")
-        if not (0 <= a < n and 0 <= b < n):
-            return Check(False, f"edge ({a},{b}) out of range")
-        if not sigma.sensible_masks(q.worlds[a].label, q.worlds[b].label):
-            return Check(False, f"edge ({a},{b}) is not sensible")
+    n, rows = len(q.worlds), q.successors
+    if len(rows) != n:
+        return Check(False, f"{len(rows)} successor rows for {n} worlds")
+    for a, row in enumerate(rows):
+        deadline.check("certificate verification")
+        if not all(0 <= b < n for b in row):
+            return Check(False, f"world {a} has a successor out of range")
+        if any(b >= c for b, c in zip(row, row[1:])):
+            return Check(False, f"successors of world {a} are not strictly ascending")
+        for b in row:
+            if not sigma.sensible_masks(q.worlds[a].label, q.worlds[b].label):
+                return Check(False, f"edge ({a},{b}) is not sensible")
     for i in range(n):
-        if not q.successors(i):
+        if not rows[i]:
             return Check(False, f"world {i} has no successor")
-    for k, (a, b) in enumerate(q.s_edges):
-        if k % 256 == 0:
-            deadline.check("certificate verification")
-        under_b = set(q._beneath[b])
-        for sub in q.worlds[a].subtrees():
-            a2 = idx[sub]
-            if under_b.isdisjoint(q._adjacency[a2]):
-                return Check(False,
-                             f"edge ({a},{b}) not confluent below world {a2}")
-    found = {fb: realizers(range(n), lambda v: q.worlds[v].label >> fb & 1,
-                           lambda v, targets: any(j in targets for j in q._adjacency[v]),
-                           deadline, "certificate verification")
+    under = [set(beneath) for beneath in q._beneath]
+    for a, row in enumerate(rows):
+        deadline.check("certificate verification")
+        for b in row:
+            for sub in q.worlds[a].subtrees():
+                a2 = idx[sub]
+                if under[b].isdisjoint(rows[a2]):
+                    return Check(False,
+                                 f"edge ({a},{b}) not confluent below world {a2}")
+    preds = _inverse(rows)
+    found = {fb: reach_back([v for v in range(n) if q.worlds[v].label >> fb & 1],
+                            preds.__getitem__, deadline, "certificate verification")
              for _, fb in sigma.ev_pairs}
     for i in range(n):
         label = q.worlds[i].label
@@ -195,10 +194,11 @@ def prune_profile(store: MomentStore, profile, order=None) -> Quasimodel:
 
     Moments whose node labels disagree with the profile are left out.
     A round drops the moments missing a submoment or a successor, then
-    those owing a root eventuality outside its `realizers` along the
-    successor rows; a round that drops nothing ends it.  Removal order
-    never affects the result; `order`, a permutation of the store's
-    moments, exists so tests can demonstrate that.
+    those owing a root eventuality from which no path of survivors
+    reaches its body (`reach_back` over the inverted rows); a round that
+    drops nothing ends it.  Removal order never affects the result;
+    `order`, a permutation of the store's moments, exists so tests can
+    demonstrate that.
     """
     if order is not None and (len(order), set(order)) != (len(store.moments), set(store.moments)):
         raise ValueError("order must list every moment of the store exactly once")
@@ -208,7 +208,7 @@ def prune_profile(store: MomentStore, profile, order=None) -> Quasimodel:
 def _prune(sigma: SigmaContext, moments, mask: int, order=None,
            deadline: Deadline = NO_DEADLINE) -> Quasimodel:
     """`prune_profile` under a deadline, taking `order` as given; the survivors'
-    rows, renumbered and so still ascending, become the result's `_adjacency`."""
+    rows, renumbered and so still ascending, become the result's successors."""
     carrier = tuple(sorted({m for m in moments
                             if all(profile_compatible(sigma, mask, l) for l in m.node_labels())},
                            key=lambda m: m.key))
@@ -217,26 +217,25 @@ def _prune(sigma: SigmaContext, moments, mask: int, order=None,
     # a submoment outside the carrier maps to -1, which is never alive
     subs = [[index.get(sub, -1) for sub in m.subtrees() if sub is not m] for m in carrier]
     alive = set(range(len(carrier)))
-
-    def steps_into(i: int, targets) -> bool:
-        return any(j in targets for j in succ[i])
-
+    preds = _inverse(succ) if sigma.ev_pairs else []  # read only for eventualities
     sweep = range(len(carrier)) if order is None else [index[m] for m in order if m in index]
     before = None
     while len(alive) != before:
         deadline.check("profile pruning")
         before = len(alive)
         for i in sweep:
-            if i in alive and not (all(k in alive for k in subs[i]) and steps_into(i, alive)):
+            if i in alive and not (all(k in alive for k in subs[i])
+                                   and any(j in alive for j in succ[i])):
                 alive.discard(i)
         for fi, fb in sigma.ev_pairs:
-            found = realizers([i for i in sweep if i in alive],
-                              lambda i: carrier[i].label >> fb & 1, steps_into,
-                              deadline, "profile pruning")
+            found = reach_back([i for i in alive if carrier[i].label >> fb & 1],
+                               lambda j: [i for i in preds[j] if i in alive],
+                               deadline, "profile pruning")
             alive -= {i for i in alive if carrier[i].label >> fi & 1 and i not in found}
     renumber = {i: k for k, i in enumerate(sorted(alive))}
-    return _with_rows(sigma, tuple(carrier[i] for i in renumber),
-                      [[renumber[j] for j in succ[i] if j in renumber] for i in renumber], mask)
+    return Quasimodel(sigma, tuple(carrier[i] for i in renumber),
+                      tuple(tuple(renumber[j] for j in succ[i] if j in renumber)
+                            for i in renumber), mask)
 
 
 def _successor_lists(moments, deadline: Deadline = NO_DEADLINE) -> list[list[int]]:
@@ -261,13 +260,21 @@ def _successor_lists(moments, deadline: Deadline = NO_DEADLINE) -> list[list[int
     return rows
 
 
-def _with_rows(sigma: SigmaContext, worlds, rows, profile: int | None) -> Quasimodel:
-    """The quasimodel whose edges are the given ascending successor rows,
-    which it keeps as its `_adjacency` rather than rebuild them."""
-    q = Quasimodel(sigma, worlds, frozenset((i, j) for i, row in enumerate(rows) for j in row),
-                   profile)
-    vars(q)["_adjacency"] = tuple(map(tuple, rows))
-    return q
+def _rows(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """The ascending successor rows of n worlds joined by the index pairs."""
+    rows: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        rows[a].add(b)
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+def _inverse(rows) -> list[list[int]]:
+    """For each world, the ascending worlds whose rows hold it."""
+    preds: list[list[int]] = [[] for _ in rows]
+    for a, row in enumerate(rows):
+        for b in row:
+            preds[b].append(a)
+    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +312,10 @@ def build_realizing_path(q: Quasimodel, start: int) -> Lasso:
         trail.append(w)
         if queue:
             w = _step_towards(q, w, queue[0])
+        elif q.successors[w]:
+            w = q.successors[w][0]
         else:
-            succ = q.successors(w)
-            if not succ:
-                raise InvariantViolation(f"world {w} has no successor")
-            w = succ[0]
+            raise InvariantViolation(f"world {w} has no successor")
 
 
 def _step_towards(q: Quasimodel, start: int, body: int) -> int:
@@ -319,7 +325,7 @@ def _step_towards(q: Quasimodel, start: int, body: int) -> int:
     while frontier:
         nxt = []
         for i in frontier:
-            for j in q.successors(i):
+            for j in q.successors[i]:
                 if j not in parent:
                     parent[j] = i
                     if q.worlds[j].label >> body & 1:
@@ -339,9 +345,9 @@ def _lasso_problem(q: Quasimodel, start: int, lasso: Lasso) -> str | None:
     if seq[0] != start:
         return "lasso does not start at its world"
     for a, b in zip(seq, seq[1:]):
-        if (a, b) not in q.s_edges:
+        if b not in q.successors[a]:
             return f"missing edge ({a},{b})"
-    if (seq[-1], lasso.loop[0]) not in q.s_edges:
+    if lasso.loop[0] not in q.successors[seq[-1]]:
         return "loop does not close"
     loop_start = len(lasso.prefix)
     for pos, i in enumerate(seq):
@@ -362,13 +368,13 @@ def complete_path_below(q: Quasimodel, path: list[int], v0: int) -> list[int]:
     if not path:
         raise ValueError("empty path")
     for a, b in zip(path, path[1:]):
-        if (a, b) not in q.s_edges:
+        if not 0 <= a < len(q.worlds) or b not in q.successors[a]:
             raise ValueError(f"({a},{b}) is not an edge")
     if not below(q.worlds[v0], q.worlds[path[0]]):
         raise ValueError("start world is not below the path start")
     out = [v0]
     for b in path[1:]:
-        step = next((u for u in q._beneath[b] if (out[-1], u) in q.s_edges), None)
+        step = next((u for u in q._beneath[b] if u in q.successors[out[-1]]), None)
         if step is None:
             raise InvariantViolation("confluence failed while completing a path")
         out.append(step)
@@ -490,7 +496,7 @@ def _verify(data: dict, target: Formula,
         if a not in remap or b not in remap:
             return Check(False, f"edge {pair} references an unknown world")
         edges.add((remap[a], remap[b]))
-    q = Quasimodel(sigma, worlds, frozenset(edges), profile)
+    q = Quasimodel(sigma, worlds, _rows(len(worlds), edges), profile)
 
     listed_order = {(remap[a], remap[b]) for a, b in data["order"]}
     if listed_order != set(q.order_pairs()):
@@ -692,11 +698,11 @@ def _generated(q: Quasimodel, seeds: list[int],
         under_b = q._beneath[b]
         for a2 in q._beneath[a]:
             if not any((a2, t) in edges for t in under_b):
-                keep(a2, next(t for t in under_b if (a2, t) in q.s_edges))
+                keep(a2, next(t for t in under_b if t in q.successors[a2]))
     kept = sorted(worlds)
     renumber = {i: k for k, i in enumerate(kept)}
     shrunk = Quasimodel(q.sigma, tuple(q.worlds[i] for i in kept),
-                        frozenset((renumber[a], renumber[b]) for a, b in edges),
+                        _rows(len(kept), ((renumber[a], renumber[b]) for a, b in edges)),
                         q.profile)
     return shrunk, renumber
 
@@ -773,7 +779,8 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
         if not any((worlds[j], y) in alive for j in succ[idx[m]]):
             raise InvariantViolation("simulation is not dynamic")
 
-    q = _with_rows(sigma, worlds, succ, worlds[0].label & sigma.forall_mask if worlds else 0)
+    q = Quasimodel(sigma, worlds, tuple(map(tuple, succ)),
+                   worlds[0].label & sigma.forall_mask if worlds else 0)
     confirmed = check_quasimodel(q)
     if not confirmed:
         raise InvariantViolation(f"extracted structure invalid: {confirmed.reason}")

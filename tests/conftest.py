@@ -38,14 +38,14 @@ def worked_moments(flagship_sigma, worked_labels):
 
 @pytest.fixture(scope="session")
 def golden_quasimodel(flagship_sigma, worked_moments):
-    """The three worked moments with the drawn edge set."""
+    """The three worked moments with the drawn successor rows."""
     mu, mv, mw = worked_moments
     worlds = tuple(sorted([mu, mv, mw], key=lambda m: m.key))
     idx = {m: i for i, m in enumerate(worlds)}
-    edges = frozenset({(idx[mu], idx[mu]), (idx[mv], idx[mv]),
-                       (idx[mv], idx[mw]), (idx[mw], idx[mw])})
+    succ = {mu: [mu], mv: [mv, mw], mw: [mw]}
+    rows = tuple(tuple(sorted(idx[t] for t in succ[m])) for m in worlds)
     profile = flagship_sigma.forall_mask
-    return itlc.Quasimodel(flagship_sigma, worlds, edges, profile), idx
+    return itlc.Quasimodel(flagship_sigma, worlds, rows, profile), idx
 
 
 @pytest.fixture(scope="session")

@@ -112,6 +112,12 @@ def test_prune_empty_result_is_allowed():
 # ---------------------------------------------------------------------------
 # Structural checking
 
+def _rows(worlds, succ):
+    """The ascending successor rows of worlds, succ mapping each to its successors."""
+    idx = {m: i for i, m in enumerate(worlds)}
+    return tuple(tuple(sorted(idx[t] for t in succ[m])) for m in worlds)
+
+
 def test_golden_structure_passes(golden_quasimodel, flagship, flagship_sigma,
                                  worked_moments):
     q, idx = golden_quasimodel
@@ -123,9 +129,8 @@ def test_golden_structure_passes(golden_quasimodel, flagship, flagship_sigma,
 def test_golden_structure_without_realizer_fails(flagship_sigma, worked_moments):
     mu, mv, mw = worked_moments
     worlds = tuple(sorted([mu, mv], key=lambda m: m.key))
-    idx = {m: i for i, m in enumerate(worlds)}
-    edges = frozenset({(idx[mu], idx[mu]), (idx[mv], idx[mv])})
-    q = Quasimodel(flagship_sigma, worlds, edges, flagship_sigma.forall_mask)
+    rows = _rows(worlds, {mu: [mu], mv: [mv]})
+    q = Quasimodel(flagship_sigma, worlds, rows, flagship_sigma.forall_mask)
     outcome = check_quasimodel(q)
     assert not outcome
     assert "unrealized" in outcome.reason
@@ -134,8 +139,7 @@ def test_golden_structure_without_realizer_fails(flagship_sigma, worked_moments)
 def test_defective_single_world_fails_revocation(flagship_sigma, worked_labels):
     lu, _, _ = worked_labels
     bad = moment(flagship_sigma, lu.mask, (), validate=False)
-    q = Quasimodel(flagship_sigma, (bad,), frozenset({(0, 0)}),
-                   flagship_sigma.forall_mask)
+    q = Quasimodel(flagship_sigma, (bad,), ((0,),), flagship_sigma.forall_mask)
     outcome = check_quasimodel(q)
     assert not outcome
     assert "not a moment" in outcome.reason
@@ -144,9 +148,8 @@ def test_defective_single_world_fails_revocation(flagship_sigma, worked_labels):
 def test_missing_submoment_fails(worked_moments, flagship_sigma):
     mu, _, mw = worked_moments
     worlds = tuple(sorted([mu, mw], key=lambda m: m.key))
-    idx = {m: i for i, m in enumerate(worlds)}
-    edges = frozenset({(idx[mu], idx[mu]), (idx[mw], idx[mw])})
-    q = Quasimodel(flagship_sigma, worlds, edges, flagship_sigma.forall_mask)
+    rows = _rows(worlds, {mu: [mu], mw: [mw]})
+    q = Quasimodel(flagship_sigma, worlds, rows, flagship_sigma.forall_mask)
     outcome = check_quasimodel(q)
     assert not outcome
     assert "submoment" in outcome.reason
@@ -155,10 +158,8 @@ def test_missing_submoment_fails(worked_moments, flagship_sigma):
 def test_insensible_edge_fails(flagship_sigma, worked_moments):
     mu, mv, mw = worked_moments
     worlds = tuple(sorted([mu, mv, mw], key=lambda m: m.key))
-    idx = {m: i for i, m in enumerate(worlds)}
-    edges = frozenset({(idx[mu], idx[mv]), (idx[mv], idx[mv]), (idx[mv], idx[mw]),
-                       (idx[mw], idx[mw])})
-    q = Quasimodel(flagship_sigma, worlds, edges, flagship_sigma.forall_mask)
+    rows = _rows(worlds, {mu: [mv], mv: [mv, mw], mw: [mw]})
+    q = Quasimodel(flagship_sigma, worlds, rows, flagship_sigma.forall_mask)
     outcome = check_quasimodel(q)
     assert not outcome
     assert "sensible" in outcome.reason
@@ -169,11 +170,31 @@ def test_non_confluent_edge_fails(flagship_sigma, worked_moments):
     worlds = tuple(sorted([mu, mv, mw], key=lambda m: m.key))
     idx = {m: i for i, m in enumerate(worlds)}
     # mv lies below mu, but its only successor mw lies below no world under mu
-    edges = frozenset({(idx[mu], idx[mu]), (idx[mv], idx[mw]), (idx[mw], idx[mw])})
-    q = Quasimodel(flagship_sigma, worlds, edges, flagship_sigma.forall_mask)
+    rows = _rows(worlds, {mu: [mu], mv: [mw], mw: [mw]})
+    q = Quasimodel(flagship_sigma, worlds, rows, flagship_sigma.forall_mask)
     outcome = check_quasimodel(q)
     assert not outcome
     assert outcome.reason == f"edge ({idx[mu]},{idx[mu]}) not confluent below world {idx[mv]}"
+
+
+def test_malformed_successor_rows_fail(golden_quasimodel, worked_moments):
+    q, idx = golden_quasimodel
+    _, mv, mw = worked_moments
+    rows = list(q.successors)
+    short = Quasimodel(q.sigma, q.worlds, tuple(rows[:-1]), q.profile)
+    assert check_quasimodel(short).reason == "2 successor rows for 3 worlds"
+    rows[idx[mw]] = (idx[mw], 3)
+    outside = Quasimodel(q.sigma, q.worlds, tuple(rows), q.profile)
+    assert check_quasimodel(outside).reason == f"world {idx[mw]} has a successor out of range"
+    rows = list(q.successors)
+    rows[idx[mv]] = tuple(reversed(rows[idx[mv]]))
+    unsorted = Quasimodel(q.sigma, q.worlds, tuple(rows), q.profile)
+    assert (check_quasimodel(unsorted).reason
+            == f"successors of world {idx[mv]} are not strictly ascending")
+    rows[idx[mv]] = (idx[mv], idx[mv])
+    repeated = Quasimodel(q.sigma, q.worlds, tuple(rows), q.profile)
+    assert (check_quasimodel(repeated).reason
+            == f"successors of world {idx[mv]} are not strictly ascending")
 
 
 def _strict_below_pairs(q):
@@ -397,34 +418,6 @@ def test_certificate_is_generated_inside_the_pruned_structure(monkeypatch, text)
         assert len(shrunk.worlds) == CERT_WORLDS[text]
 
 
-def _holds_its_own_rows(q):
-    """Whether q was handed successor rows, equal to those its edges give."""
-    rebuilt = Quasimodel(q.sigma, q.worlds, q.s_edges, q.profile)
-    return "_adjacency" in vars(q) and q._adjacency == rebuilt._adjacency
-
-
-def test_pruned_structures_hold_their_own_rows(monkeypatch):
-    pruned = []
-    prune = itlc.quasimodel._prune
-
-    def recording(*args):
-        pruned.append(prune(*args))
-        return pruned[-1]
-
-    monkeypatch.setattr(itlc.quasimodel, "_prune", recording)
-    for text in HARD:
-        decide(parse(text))
-    assert pruned and all(_holds_its_own_rows(q) for q in pruned)
-
-    import random
-    rng = random.Random(5)
-    sigma = subformula_closure(parse("A<>p -> (X ~p <-> ~X p)"))
-    store = enumerate_irreducibles(sigma, itlc.Caps(max_moments=3000))
-    for profile in itlc.labels.profile_masks(sigma):
-        for order in (None, list(reversed(store.moments)), rng.sample(store.moments, len(store))):
-            assert _holds_its_own_rows(prune_profile(store, profile, order=order))
-
-
 @pytest.mark.parametrize("text", ["(X p -> X q) -> X(p -> q)", "E(X(p -> q) | XXp)"])
 def test_small_countermodels_are_found_before_the_moment_cap(text):
     start = time.perf_counter()
@@ -439,6 +432,20 @@ def test_eight_disjuncts_are_decided_quickly():
     verdict = decide(f)
     assert time.perf_counter() - start < 2
     assert verdict.kind == "FALSIFIABLE" and len(verdict.certificate.quasimodel.worlds) == 1
+
+
+def test_ten_disjuncts_are_decided_in_little_memory():
+    import tracemalloc
+
+    f = parse("p1 | p2 | p3 | p4 | p5 | p6 | p7 | p8 | p9 | p10 -> p1")
+    tracemalloc.start()
+    try:
+        verdict = decide(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind == "FALSIFIABLE"
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
