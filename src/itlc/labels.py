@@ -61,6 +61,7 @@ class SigmaContext:
 
         self._type_masks: tuple[int, ...] | None = None
         self._patterns: dict[int, tuple[int, int] | None] = {}
+        self._type_memo: dict[int, bool] = {}
         self._moment_cache: dict = {}
         self._fold_memo: dict = {}
         self._succ_memo: dict = {}
@@ -107,9 +108,12 @@ class SigmaContext:
 
     def is_type_mask(self, mask: int) -> bool:
         """Whether mask lies within the context and each bit takes a value
-        that `_bits` allows it."""
-        return 0 <= mask < 1 << len(self) and all(mask >> k & 1 in self._bits(k, mask)
-                                                  for k in range(len(self)))
+        that `_bits` allows it; answered once per mask and context."""
+        known = self._type_memo.get(mask)
+        if known is None:
+            known = self._type_memo[mask] = 0 <= mask < 1 << len(self) and all(
+                mask >> k & 1 in self._bits(k, mask) for k in range(len(self)))
+        return known
 
     def type_masks(self, deadline: Deadline = NO_DEADLINE) -> tuple[int, ...]:
         """All type masks in ascending numeric order.

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import NamedTuple
 
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
@@ -109,15 +110,22 @@ class Lasso(NamedTuple):
 def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
     """Re-check every structural condition, naming the first failure;
     each eventuality's body is searched back from once, by `reach_back`
-    along the inverted rows."""
+    along the inverted rows.  Sensibility and confluence take
+    O(edges + Σ submoments) operations on rows as integer bitsets, in place
+    of one set probe per edge per submoment of its source."""
     sigma = q.sigma
     if not q.worlds:
         return Check(False, "no worlds")
     idx = q.world_index()
     if len(idx) != len(q.worlds):
         return Check(False, "duplicate worlds")
+    with_label: dict[int, int] = {}  # the worlds with each label
+    above = [0] * len(q.worlds)  # above[t]: the worlds with t among their submoments
     for i, m in enumerate(q.worlds):
         deadline.check("certificate verification")
+        with_label[m.label] = with_label.get(m.label, 0) | 1 << i
+        for t in q._beneath[i]:
+            above[t] |= 1 << i
         try:
             check_kit(sigma, m.label, m.children)
         except ItlcError as err:
@@ -128,27 +136,36 @@ def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
     n, rows = len(q.worlds), q.successors
     if len(rows) != n:
         return Check(False, f"{len(rows)} successor rows for {n} worlds")
+    # allowed[p]: the worlds whose labels may follow a label of pattern p;
+    # reach_up[a2]: the worlds with a submoment in a2's row
+    allowed: dict[tuple[int, int] | None, int] = {None: 0}
+    bits, reach_up = [], []
     for a, row in enumerate(rows):
         deadline.check("certificate verification")
         if not all(0 <= b < n for b in row):
             return Check(False, f"world {a} has a successor out of range")
         if any(b >= c for b, c in zip(row, row[1:])):
             return Check(False, f"successors of world {a} are not strictly ascending")
-        for b in row:
-            if not sigma.sensible_masks(q.worlds[a].label, q.worlds[b].label):
-                return Check(False, f"edge ({a},{b}) is not sensible")
+        pattern = sigma.pattern_of(q.worlds[a].label)
+        if pattern not in allowed:
+            allowed[pattern] = sum(ws for label, ws in with_label.items()
+                                   if label & pattern[0] == pattern[1])
+        bits.append(sum(1 << b for b in row))
+        reach_up.append(reduce(or_, (above[t] for t in row), 0))
+        stray = bits[a] & ~allowed[pattern]
+        if stray:
+            return Check(False, f"edge ({a},{_lowest(stray)}) is not sensible")
     for i in range(n):
         if not rows[i]:
             return Check(False, f"world {i} has no successor")
-    under = [set(beneath) for beneath in q._beneath]
-    for a, row in enumerate(rows):
+    for a, beneath in enumerate(q._beneath):
         deadline.check("certificate verification")
-        for b in row:
-            for sub in q.worlds[a].subtrees():
-                a2 = idx[sub]
-                if under[b].isdisjoint(rows[a2]):
-                    return Check(False,
-                                 f"edge ({a},{b}) not confluent below world {a2}")
+        stray = bits[a] & ~reduce(and_, (reach_up[a2] for a2 in beneath))
+        if stray:
+            b = _lowest(stray)
+            a2 = next(idx[sub] for sub in q.worlds[a].subtrees()
+                      if not reach_up[idx[sub]] >> b & 1)
+            return Check(False, f"edge ({a},{b}) not confluent below world {a2}")
     preds = _inverse(rows)
     found = {fb: reach_back([v for v in range(n) if q.worlds[v].label >> fb & 1],
                             preds.__getitem__, deadline, "certificate verification")
@@ -208,7 +225,9 @@ def prune_profile(store: MomentStore, profile, order=None) -> Quasimodel:
 def _prune(sigma: SigmaContext, moments, mask: int, order=None,
            deadline: Deadline = NO_DEADLINE) -> Quasimodel:
     """`prune_profile` under a deadline, taking `order` as given; the survivors'
-    rows, renumbered and so still ascending, become the result's successors."""
+    rows, renumbered and so still ascending, become the result's successors.
+    Each distinct row list is renumbered once, so rows the carrier shares
+    stay shared; when nothing was dropped, the rows are copied unchanged."""
     carrier = tuple(sorted({m for m in moments
                             if all(profile_compatible(sigma, mask, l) for l in m.node_labels())},
                            key=lambda m: m.key))
@@ -233,9 +252,13 @@ def _prune(sigma: SigmaContext, moments, mask: int, order=None,
                                deadline, "profile pruning")
             alive -= {i for i in alive if carrier[i].label >> fi & 1 and i not in found}
     renumber = {i: k for k, i in enumerate(sorted(alive))}
+    renumbered: dict[int, tuple[int, ...]] = {}  # by the id of a row list
+    for i in renumber:
+        if id(succ[i]) not in renumbered:
+            renumbered[id(succ[i])] = (tuple(succ[i]) if len(renumber) == len(carrier) else
+                                       tuple(renumber[j] for j in succ[i] if j in renumber))
     return Quasimodel(sigma, tuple(carrier[i] for i in renumber),
-                      tuple(tuple(renumber[j] for j in succ[i] if j in renumber)
-                            for i in renumber), mask)
+                      tuple(renumbered[id(succ[i])] for i in renumber), mask)
 
 
 def _successor_lists(moments, deadline: Deadline = NO_DEADLINE) -> list[list[int]]:
@@ -266,6 +289,11 @@ def _rows(n: int, edges) -> tuple[tuple[int, ...], ...]:
     for a, b in edges:
         rows[a].add(b)
     return tuple(tuple(sorted(row)) for row in rows)
+
+
+def _lowest(mask: int) -> int:
+    """The index of a nonzero mask's lowest bit."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _inverse(rows) -> list[list[int]]:

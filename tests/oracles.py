@@ -7,11 +7,12 @@ can disagree.
 import itertools
 
 from itlc.alexandroff import FinitePoset, FiniteSystem, interior
-from itlc.errors import SchemaError
+from itlc.errors import ItlcError, SchemaError
 from itlc.formula import (And, Atom, Eventually, Exists, Forall, Henceforth, Implies,
                           Next, Or)
 from itlc.labels import enumerate_types, profile_compatible
-from itlc.moments import moment, temporal_successor
+from itlc.moments import check_kit, moment, temporal_successor
+from itlc.quasimodel import Check
 
 
 def all_moments_upto(sigma, max_nodes):
@@ -274,6 +275,59 @@ def prune_oracle(store, profile):
     worlds = tuple(sorted(alive, key=lambda m: m.key))
     index = {m: i for i, m in enumerate(worlds)}
     return worlds, frozenset((index[v], index[w]) for v in worlds for w in successors(v))
+
+
+def structure_oracle(q):
+    """`check_quasimodel` clause by clause, in its order and with its
+    messages, probing each edge for sensibility with `sensible_oracle`,
+    each pair of an edge and a submoment of its source for confluence,
+    and each world's eventualities by a forward search."""
+    sigma, worlds, rows = q.sigma, q.worlds, q.successors
+    if not worlds:
+        return Check(False, "no worlds")
+    idx = {m: i for i, m in enumerate(worlds)}
+    if len(idx) != len(worlds):
+        return Check(False, "duplicate worlds")
+    for i, m in enumerate(worlds):
+        try:
+            check_kit(sigma, m.label, m.children)
+        except ItlcError as err:
+            return Check(False, f"world {i} is not a moment: {err}")
+        if any(sub not in idx for sub in m.subtrees()):
+            return Check(False, f"world {i} has a submoment that is not a world")
+    n = len(worlds)
+    if len(rows) != n:
+        return Check(False, f"{len(rows)} successor rows for {n} worlds")
+    for a, row in enumerate(rows):
+        if not all(0 <= b < n for b in row):
+            return Check(False, f"world {a} has a successor out of range")
+        if any(b >= c for b, c in zip(row, row[1:])):
+            return Check(False, f"successors of world {a} are not strictly ascending")
+        for b in row:
+            if not sensible_oracle(sigma, worlds[a].label, worlds[b].label):
+                return Check(False, f"edge ({a},{b}) is not sensible")
+    for i in range(n):
+        if not rows[i]:
+            return Check(False, f"world {i} has no successor")
+    for a, row in enumerate(rows):
+        for b in row:
+            for sub in worlds[a].subtrees():
+                a2 = idx[sub]
+                if not any(worlds[t] in worlds[b].subtrees() for t in rows[a2]):
+                    return Check(False, f"edge ({a},{b}) not confluent below world {a2}")
+    for i, m in enumerate(worlds):
+        for fi, fb in sigma.ev_pairs:
+            if m.label >> fi & 1 and not _path_to(
+                    i, rows.__getitem__, lambda v, fb=fb: worlds[v].label >> fb & 1):
+                return Check(False, f"eventuality {sigma.formulas[fi]} of world {i} unrealized")
+    for fi, fb in sigma.forall_pairs:
+        if all(m.label >> fi & 1 for m in worlds) != all(m.label >> fb & 1 for m in worlds):
+            return Check(False, f"labels dishonest about {sigma.formulas[fi]}")
+    if q.profile is not None:
+        for i, m in enumerate(worlds):
+            if not all(profile_compatible(sigma, q.profile, l) for l in m.node_labels()):
+                return Check(False, f"world {i} disagrees with the profile")
+    return Check(True)
 
 
 def _accepted(build):

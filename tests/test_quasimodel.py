@@ -8,10 +8,10 @@ import itlc
 from itlc.formula import parse
 from itlc.labels import subformula_closure, type_set
 from itlc.moments import below, enumerate_irreducibles, moment
-from itlc.quasimodel import (Lasso, Quasimodel, build_realizing_path,
-                             check_quasimodel, complete_path_below, decide,
-                             extract_quasimodel, falsified_members, fragment_context,
-                             prune_profile, verify_certificate)
+from itlc.quasimodel import (Lasso, Quasimodel, _prune, _successor_lists,
+                             build_realizing_path, check_quasimodel, complete_path_below,
+                             decide, extract_quasimodel, falsified_members,
+                             fragment_context, prune_profile, verify_certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,31 @@ def test_prune_matches_the_sweeping_oracle():
     assert pruned > 20
 
 
+def test_prune_renumbers_each_shared_row_once():
+    from oracles import all_moments_upto
+
+    kept_all = dropped = 0
+    for text, max_nodes in [("X p", 4), ("<>p", 4), ("X p -> p", 3),
+                            ("A<>p -> (X ~p <-> ~X p)", 2), ("X<>p", 3)]:
+        sigma = subformula_closure(parse(text))
+        universe = all_moments_upto(sigma, max_nodes)
+        for profile in itlc.labels.profile_masks(sigma):
+            q = _prune(sigma, universe, profile)
+            carrier = sorted({m for m in universe
+                              if all(itlc.labels.profile_compatible(sigma, profile, l)
+                                     for l in m.node_labels())}, key=lambda m: m.key)
+            succ = _successor_lists(carrier)
+            index = {m: i for i, m in enumerate(carrier)}
+            renumber = {index[m]: k for k, m in enumerate(q.worlds)}
+            assert q.successors == tuple(tuple(renumber[j] for j in succ[i] if j in renumber)
+                                         for i in renumber), (text, profile)
+            # a row list shared in the carrier is one tuple in the result
+            assert len({id(row) for row in q.successors}) <= len({id(succ[i]) for i in renumber})
+            kept_all += len(q.worlds) == len(carrier)
+            dropped += 0 < len(q.worlds) < len(carrier)
+    assert kept_all and dropped
+
+
 def test_prune_empty_result_is_allowed():
     sigma = subformula_closure(parse("A<>p"))
     viable = itlc.viable_types(sigma, sigma.forall_mask)
@@ -163,6 +188,15 @@ def test_insensible_edge_fails(flagship_sigma, worked_moments):
     outcome = check_quasimodel(q)
     assert not outcome
     assert "sensible" in outcome.reason
+
+
+def test_edge_from_a_label_without_successors_fails():
+    # {<>p} owes <>p next while X<>p is absent, so no label may follow it
+    sigma = subformula_closure(parse("X<>p"))
+    owed = type_set(sigma, [parse("<>p")])
+    assert sigma.successor_pattern(owed.mask) is None
+    q = Quasimodel(sigma, (moment(sigma, owed),), ((0,),))
+    assert check_quasimodel(q).reason == "edge (0,0) is not sensible"
 
 
 def test_non_confluent_edge_fails(flagship_sigma, worked_moments):
@@ -416,6 +450,97 @@ def test_certificate_is_generated_inside_the_pruned_structure(monkeypatch, text)
     assert shrunk.order_pairs() == _strict_below_pairs(shrunk)
     if text in CERT_WORLDS:
         assert len(shrunk.worlds) == CERT_WORLDS[text]
+
+
+def _faults(q, rng):
+    """Seeded single faults of q: a dropped edge, an added edge that is not
+    sensible, an added sensible edge that breaks confluence, a row entry
+    moved out of range, a reversed row, an emptied row, and a flipped bit
+    of a world's root label.  A fault that q offers no place for is left
+    out."""
+    sigma, worlds, rows, n = q.sigma, q.worlds, q.successors, len(q.worlds)
+
+    def with_row(a, row):
+        return Quasimodel(sigma, worlds, rows[:a] + (tuple(row),) + rows[a + 1:], q.profile)
+
+    a, b = rng.choice(sorted(q.s_edges))
+    yield with_row(a, [c for c in rows[a] if c != b])
+    absent = [(a, b) for a in range(n) for b in range(n) if b not in rows[a]]
+    insensible = [(a, b) for a, b in absent
+                  if not sigma.sensible_masks(worlds[a].label, worlds[b].label)]
+    unconfluent = [(a, b) for a, b in absent if (a, b) not in insensible
+                   and any(not set(rows[a2]) & set(q._beneath[b]) for a2 in q._beneath[a])]
+    for pairs in (insensible, unconfluent):
+        if pairs:
+            a, b = rng.choice(pairs)
+            yield with_row(a, sorted(rows[a] + (b,)))
+    a = rng.randrange(n)
+    row = list(rows[a])
+    row[rng.randrange(len(row))] = rng.choice((-1, n))
+    yield with_row(a, row)
+    longer = [a for a in range(n) if len(rows[a]) > 1]
+    if longer:
+        a = rng.choice(longer)
+        yield with_row(a, reversed(rows[a]))
+    yield with_row(rng.randrange(n), ())
+    i, k = rng.randrange(n), rng.randrange(len(sigma))
+    flipped = moment(sigma, worlds[i].label ^ 1 << k, worlds[i].children, validate=False)
+    yield Quasimodel(sigma, worlds[:i] + (flipped,) + worlds[i + 1:], rows, q.profile)
+
+
+def test_check_quasimodel_matches_the_edge_by_edge_oracle(monkeypatch):
+    import random
+
+    from oracles import structure_oracle
+
+    built = []
+    generated = itlc.quasimodel._generated
+
+    def recording(q, seeds, deadline):
+        shrunk, renumber = generated(q, seeds, deadline)
+        built.extend((q, shrunk))
+        return shrunk, renumber
+
+    monkeypatch.setattr(itlc.quasimodel, "_generated", recording)
+    for text in HARD:
+        if text not in VALIDITIES:
+            assert decide(parse(text)).kind == "FALSIFIABLE"
+    # pruned stores whose worlds are taller, with up to 7 submoments
+    for text in ("X p -> p", "(p -> q) | (q -> p)"):
+        store = enumerate_irreducibles(subformula_closure(parse(text)), itlc.Caps(max_moments=300))
+        built.append(prune_profile(store, 0))
+    rng = random.Random(16)
+    reasons = set()
+    for q in built:
+        assert check_quasimodel(q) == structure_oracle(q) == itlc.quasimodel.Check(True)
+        for _ in range(3):
+            for faulty in _faults(q, rng):
+                outcome = check_quasimodel(faulty)
+                assert outcome == structure_oracle(faulty), outcome.reason
+                reasons.add(" ".join(w for w in str(outcome.reason).split()
+                                     if not any(ch.isdigit() for ch in w)))
+    assert {"edge is not sensible", "edge not confluent below world",
+            "world has a successor out of range", "world has no successor",
+            "successors of world are not strictly ascending"} <= reasons
+
+
+def test_check_quasimodel_checks_the_deadline_once_per_world_in_every_loop():
+    sigma = subformula_closure(parse("p1 | p2 | p3 | p4 | p5 | p6 -> p1"))
+    q = prune_profile(enumerate_irreducibles(sigma), 0)
+    assert len(q.worlds) == 64
+    with pytest.raises(itlc.CapExceeded, match="certificate verification"):
+        check_quasimodel(q, itlc.config.Deadline(0))
+
+    class Counting(itlc.config.Deadline):
+        checks = 0
+
+        def check(self, what):
+            Counting.checks += 1
+            super().check(what)
+
+    assert check_quasimodel(q, Counting(None))
+    # once per world in the kit, row and confluence passes
+    assert Counting.checks >= 3 * len(q.worlds)
 
 
 @pytest.mark.parametrize("text", ["(X p -> X q) -> X(p -> q)", "E(X(p -> q) | XXp)"])
