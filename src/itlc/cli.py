@@ -37,6 +37,11 @@ def _count(text: str) -> int:
     return value
 
 
+def _timeout(text: str) -> float:
+    """A command-line timeout in seconds, which Caps refuses when NaN."""
+    return Caps(timeout=float(text)).timeout
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no
@@ -48,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-moments", type=int, default=DEFAULT_CAPS.max_moments)
         p.add_argument("--max-valuations", type=int, default=DEFAULT_CAPS.max_valuations)
         p.add_argument("--max-systems", type=int, default=DEFAULT_CAPS.max_systems)
-        p.add_argument("--timeout", type=float, default=DEFAULT_CAPS.timeout)
+        p.add_argument("--timeout", type=_timeout, default=DEFAULT_CAPS.timeout)
         p.add_argument("--jobs", type=int, default=DEFAULT_CAPS.jobs,
                        help="accepted for compatibility; searches run on one thread")
 

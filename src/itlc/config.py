@@ -23,7 +23,7 @@ class Caps:
     timeout         wall-clock seconds for a single decide, enumerate, extract,
                     valid or countermodel call; deadline() starts its clock,
                     and every loop of the call that can grow superlinearly
-                    checks it (None: no limit)
+                    checks it (None: no limit; NaN raises ValueError)
     jobs            accepted for compatibility and ignored: profiles are
                     searched in order on one thread, since threads gave
                     no speed-up under the interpreter lock
@@ -35,6 +35,10 @@ class Caps:
     timeout: float | None = None
     jobs: int = 1
 
+    def __post_init__(self):
+        if self.timeout != self.timeout:
+            raise ValueError("timeout must be a number of seconds, not NaN")
+
     def deadline(self) -> Deadline:
         return Deadline(self.timeout)
 
@@ -42,11 +46,13 @@ class Caps:
 class Deadline:
     """The end of one call's timeout; check(what) raises CapExceeded once it
     has passed, naming the loop that noticed.  Without a timeout it never
-    trips."""
+    trips; a NaN timeout, which no clock reading passes, raises ValueError."""
 
     __slots__ = ("timeout", "_end")
 
     def __init__(self, timeout: float | None):
+        if timeout != timeout:
+            raise ValueError("timeout must be a number of seconds, not NaN")
         self.timeout = timeout
         self._end = None if timeout is None else time.monotonic() + timeout
 

@@ -52,12 +52,10 @@ class SigmaContext:
                               for f in formulas if isinstance(f, Eventually))
         self.forall_pairs = tuple((self.index[f], self.index[f.body])
                                   for f in formulas if isinstance(f, Forall))
-        self.forall_mask = 0
-        for i, _ in self.forall_pairs:
-            self.forall_mask |= 1 << i
-        self.next_body_mask = 0
-        for _, b in self.next_pairs:
-            self.next_body_mask |= 1 << b
+        # distinct formulas have distinct indices and, per modality,
+        # distinct bodies, so these sums are unions
+        self.forall_mask = sum(1 << i for i, _ in self.forall_pairs)
+        self.next_body_mask = sum(1 << b for _, b in self.next_pairs)
 
         self._type_masks: tuple[int, ...] | None = None
         self._patterns: dict[int, tuple[int, int] | None] = {}
@@ -115,27 +113,35 @@ class SigmaContext:
                 mask >> k & 1 in self._bits(k, mask) for k in range(len(self)))
         return known
 
-    def type_masks(self, deadline: Deadline = NO_DEADLINE) -> tuple[int, ...]:
-        """All type masks in ascending numeric order.
+    def types_matching(self, care: int, value: int,
+                       deadline: Deadline = NO_DEADLINE) -> tuple[int, ...]:
+        """The type masks t with t & care == value, in ascending numeric order.
 
         Operands are indexed before the formulas over them, so the masks
         are built one subformula at a time from [0]: every partial mask
         over the first k formulas is extended by each value `_bits` allows
-        bit k.  Every rule allows some value, so every partial mask
-        extends to a type and the cost follows the number of types, not
-        2^|Σ|.  The deadline is checked once per block of partial masks
-        per subformula; the final sort is one unchecked step.
+        bit k that agrees with value where care pins bit k, and is dropped
+        when there is none.  Every rule allows some value, so with nothing
+        pinned every partial mask extends to a type and the cost follows
+        the number of types, not 2^|Σ|.  The deadline is checked once per
+        block of partial masks per subformula; the final sort is one
+        unchecked step.
         """
+        masks = [0]
+        for k in range(len(self.formulas)):
+            grown: list[int] = []
+            agree = (value >> k & 1,) if care >> k & 1 else (0, 1)
+            for start in range(0, len(masks), _MASK_BLOCK):
+                deadline.check("type enumeration")
+                grown.extend(m | b << k for m in masks[start:start + _MASK_BLOCK]
+                             for b in self._bits(k, m) if b in agree)
+            masks = grown
+        return tuple(sorted(masks))
+
+    def type_masks(self, deadline: Deadline = NO_DEADLINE) -> tuple[int, ...]:
+        """All type masks, `types_matching(0, 0)`, built once per context."""
         if self._type_masks is None:
-            masks = [0]
-            for k in range(len(self.formulas)):
-                grown: list[int] = []
-                for start in range(0, len(masks), _MASK_BLOCK):
-                    deadline.check("type enumeration")
-                    grown.extend(m | b << k for m in masks[start:start + _MASK_BLOCK]
-                                 for b in self._bits(k, m))
-                masks = grown
-            self._type_masks = tuple(sorted(masks))
+            self._type_masks = self.types_matching(0, 0, deadline)
         return self._type_masks
 
     def defect_indices(self, mask: int) -> tuple[int, ...]:
@@ -268,10 +274,7 @@ def profile_pattern(sigma: SigmaContext, profile: int) -> tuple[int, int] | None
     """The pattern (FM, FV) of the labels that follow the profile: a label
     does exactly when label & FM == FV.  FM covers the `A` bits and the
     bodies the profile promises; None when no label can follow it."""
-    bodies = 0
-    for i, b in sigma.forall_pairs:
-        if profile >> i & 1:
-            bodies |= 1 << b
+    bodies = sum(1 << b for i, b in sigma.forall_pairs if profile >> i & 1)
     if profile & ~sigma.forall_mask or bodies & sigma.forall_mask & ~profile:
         return None
     return sigma.forall_mask | bodies, profile | bodies
@@ -304,7 +307,9 @@ def viable_types(sigma: SigmaContext, profile: int,
     a type outside it can appear in no such structure, and the removal
     order does not change it.
 
-    The survivors are indexed by their `successor_pattern` (M, V), and M
+    The profile-compatible types are built from the `profile_pattern` by
+    `SigmaContext.types_matching`, never filtered out of all types.  The
+    survivors are indexed by their `successor_pattern` (M, V), and M
     takes few distinct values.  A round first drops the types failing (a)
     or (c): (a) looks (M, V) up in the set of keys (M, w & M) of the
     survivors w, and (c) searches, for each defect, the list of
@@ -316,13 +321,12 @@ def viable_types(sigma: SigmaContext, profile: int,
     drops nothing ends it.  Every loop over types checks the deadline
     once per 256 types.
     """
-    types = sigma.type_masks(deadline)
     pattern = profile_pattern(sigma, profile)
     if pattern is None:
         return frozenset()
-    fm, fv = pattern
     patterns = {m: sigma.successor_pattern(m)
-                for block in _blocks(types, deadline) for m in block if m & fm == fv}
+                for block in _blocks(sigma.types_matching(*pattern, deadline), deadline)
+                for m in block}
     alive = {m for m, p in patterns.items() if p is not None}
     before = None
     while len(alive) != before:

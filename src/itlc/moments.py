@@ -311,9 +311,9 @@ class _Generation:
     Subclasses order the layers differently by overriding _next_layer and
     _exhausted.
 
-    The types are enumerated on construction, which raises CapExceeded if
-    the deadline passes first; a deadline passing during grow() caps the
-    generation instead.
+    allowed_labels, a collection of types, are the node labels; None means
+    every type, whose enumeration raises CapExceeded if the deadline passes
+    first.  A deadline passing during grow() caps the generation instead.
     """
 
     def __init__(self, sigma: SigmaContext, caps: Caps = DEFAULT_CAPS,
@@ -321,11 +321,8 @@ class _Generation:
         self.sigma = sigma
         self.caps = caps
         self.deadline = caps.deadline() if deadline is None else deadline
-        types = sigma.type_masks(self.deadline)
-        if allowed_labels is not None:
-            allowed = frozenset(allowed_labels)
-            types = [t for t in types if t in allowed]
-        self.types = list(types)
+        self.types = sorted(sigma.type_masks(self.deadline) if allowed_labels is None
+                            else set(allowed_labels))
         self.budget = 4 * caps.max_moments
         self.examined = 0
         self.count = 0
@@ -502,12 +499,13 @@ def enumerate_irreducibles(sigma: SigmaContext, caps: Caps = DEFAULT_CAPS,
     Generation stops once a layer comes out empty (labels grow strictly
     along branches, so no irreducible is taller than the context size
     plus one) or when a cap trips, in which case the store is flagged
-    incomplete.  A timeout that passes while the types are enumerated,
-    before any moment exists, raises CapExceeded instead.
+    incomplete.
 
-    allowed_labels optionally restricts node labels to a subset of the
+    allowed_labels optionally restricts node labels to a collection of
     types; the result is then every irreducible all of whose node labels
-    lie in that subset.
+    lie in it.  Without it every type is a node label, and a timeout that
+    passes while the types are enumerated, before any moment exists,
+    raises CapExceeded instead.
     """
     gen = _Generation(sigma, caps, allowed_labels)
     while gen.grow():

@@ -218,6 +218,15 @@ def test_valid_honours_timeout(capsys):
     assert "timeout" in capsys.readouterr().err
 
 
+def test_a_nan_timeout_is_a_usage_error(capsys):
+    # a NaN deadline never trips: decide would run this for about 0.3 s
+    # instead of refusing the flag
+    wide = " | ".join(f"p{i}" for i in range(1, 12)) + " -> p1"
+    for argv in (["decide", wide], ["countermodel", "p -> p"], ["enumerate", "--sigma", "p"]):
+        assert run(argv + ["--timeout", "nan"]) == 2
+        assert "--timeout" in capsys.readouterr().err
+
+
 def test_countermodel_max_systems_trips_during_enumeration(capsys):
     # 9,740 systems have at most 4 points, so the cap trips early among
     # the 5-point ones, before they are all built

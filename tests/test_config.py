@@ -20,3 +20,11 @@ def test_deadline_trips_once_its_time_has_passed():
     time.sleep(0.1)
     with pytest.raises(itlc.CapExceeded, match="late passed the 0.05 s timeout"):
         deadline.check("late")
+
+
+def test_a_nan_timeout_is_refused():
+    # monotonic() >= nan is always false, so such a deadline would never trip
+    with pytest.raises(ValueError, match="NaN"):
+        itlc.Caps(timeout=float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        Deadline(float("nan"))

@@ -188,12 +188,42 @@ def test_context_lists_operands_first():
 
 
 def test_type_enumeration_checks_its_deadline():
-    # 2^22 + 1 types: every choice of atoms, and the all-false one twice
+    # 2^22 + 1 types: every choice of atoms, and the all-false one twice;
+    # 2^21 + 1 of them leave p2 out
     wide = subformula_closure(parse(" | ".join(f"p{i}" for i in range(1, 23)) + " -> p1"))
-    start = time.monotonic()
-    with pytest.raises(itlc.CapExceeded, match=r"^type enumeration passed "):
-        wide.type_masks(itlc.Caps(timeout=0.2).deadline())
-    assert time.monotonic() - start < 5
+    p2 = 1 << wide.index[Atom("p2")]
+    for build in (wide.type_masks, lambda deadline: wide.types_matching(p2, 0, deadline)):
+        start = time.monotonic()
+        with pytest.raises(itlc.CapExceeded, match=r"^type enumeration passed "):
+            build(itlc.Caps(timeout=0.2).deadline())
+        assert time.monotonic() - start < 5
+
+
+def test_types_matching_builds_the_filtered_types(flagship_sigma):
+    rng = random.Random(61)
+    contexts = [flagship_sigma, subformula_closure(parse("A<>p -> (X ~p <-> ~X p)"))]
+    while len(contexts) < 30:
+        sigma = subformula_closure(itlc.eliminate_exists(
+            itlc.random_formula(rng, depth=4, modalities=itlc.DIAMOND_FRAGMENT)))
+        if len(sigma) <= 16:
+            contexts.append(sigma)
+    compared = forbidden = 0
+    for sigma in contexts:
+        types = sigma.type_masks()
+        pins = {(0, 0)}
+        pins.update(filter(None, (itlc.labels.profile_pattern(sigma, profile)
+                                  for profile in itlc.labels.profile_masks(sigma))))
+        pins.update(filter(None, map(sigma.successor_pattern, types)))
+        for care, value in sorted(pins):
+            assert sigma.types_matching(care, value) == tuple(
+                t for t in types if t & care == value), (sigma.formulas[-1], care, value)
+            compared += 1
+        if BOT in sigma:
+            # _bits never lets bottom into a type, so pinning it in builds nothing
+            bottom = 1 << sigma.index[BOT]
+            assert sigma.types_matching(bottom, bottom) == ()
+            forbidden += 1
+    assert compared > 300 and forbidden > 5
 
 
 def test_viable_types_match_the_sweeping_oracle(flagship_sigma):
