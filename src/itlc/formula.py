@@ -18,8 +18,8 @@ Concrete grammar::
 Precedence: unary > '&' > '|' > '->' (right associative).
 
 Nesting is bounded: parse refuses a formula nested more than MAX_NESTING
-levels deep, counting parentheses as well as operators, because the
-printers and a formula's first hash recurse over the tree.
+levels deep, counting parentheses as well as operators, because a
+formula's first hash and `godel_tarski` recurse over the tree.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ class Formula:
     A node's hash covers its type and its operands.  It is computed on
     first use and cached, so each node is hashed once and operands shared
     by '<->' are never walked twice; equality walks two formulas
-    pairwise, each pair of nodes once.  The cached hash is no dataclass
-    field: equality, repr, pickling and copying see only the operands.
+    pairwise, each pair of nodes once.  So is a node's printed text; no
+    cache is a dataclass field: equality, repr, pickling and copying see
+    only the operands.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_text")
 
     def __hash__(self) -> int:
         try:
@@ -165,11 +166,11 @@ def children(f: Formula) -> tuple[Formula, ...]:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_UNARY_TOKENS = {"~", "X", "<>", "[]", "A", "E"}
+_SYMBOLS = {m.value: t for t, m in _UNARY.items()}  # modality symbol -> node type
 
-#: Deepest nesting parse accepts.  Exists elimination triples the depth, the
-#: printer takes two stack frames per level and a formula's first hash one,
-#: so this stays well inside Python's default recursion limit.
+#: Deepest nesting parse accepts.  Exists elimination triples the depth and a
+#: formula's first hash takes a stack frame per level, so this stays well
+#: inside Python's default recursion limit.
 MAX_NESTING = 100
 _TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 
@@ -282,12 +283,11 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return f
-        if value in _UNARY_TOKENS:
+        if value == "~" or value in _SYMBOLS:
             self.deeper(pos)
             body = self.unary()
             self.depth -= 1
-            return {"~": lambda b: Implies(b, BOT), "X": Next, "<>": Eventually,
-                    "[]": Henceforth, "A": Forall, "E": Exists}[value](body)
+            return neg(body) if value == "~" else _SYMBOLS[value](body)
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
@@ -322,30 +322,39 @@ def _height(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 # Printing
 
-_IMPL, _OR, _AND, _UNARY_LVL, _ATOM = 0, 1, 2, 3, 4
+_IMPL, _OR, _AND, _UNARY_LVL = 0, 1, 2, 3
+# (prefix, infix, level, least bare level per operand) by node type; "~" for a -> #
+_SHAPES = {**{t: (s, "", _UNARY_LVL, (_UNARY_LVL,)) for s, t in [*_SYMBOLS.items(), ("~", "~")]},
+           And: ("", " & ", _AND, (_AND, _AND + 1)), Or: ("", " | ", _OR, (_OR, _OR + 1)),
+           Implies: ("", " -> ", _IMPL, (_IMPL + 1, _IMPL))}
 
 
-def _render(f: Formula, min_level: int) -> str:
-    if isinstance(f, Bottom):
-        return "#"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Implies) and f.right == BOT:
-        text, level = "~" + _render(f.left, _UNARY_LVL), _UNARY_LVL
-    elif type(f) in _UNARY:
-        text, level = _UNARY[type(f)].value + _render(children(f)[0], _UNARY_LVL), _UNARY_LVL
-    elif isinstance(f, And):
-        text, level = _render(f.left, _AND) + " & " + _render(f.right, _AND + 1), _AND
-    elif isinstance(f, Or):
-        text, level = _render(f.left, _OR) + " | " + _render(f.right, _OR + 1), _OR
-    else:  # Implies, right associative
-        text, level = _render(f.left, _IMPL + 1) + " -> " + _render(f.right, _IMPL), _IMPL
-    return f"({text})" if level < min_level else text
+def format_texts(formulas, ops) -> tuple[str, ...]:
+    """The texts of formulas listed after their operands; ops[k] is formulas[k]'s
+    type and operand positions, padded with None.  These are the only printing
+    rules: each text is built once from its operands' texts and levels, in time
+    linear in the total text length, and cached on its node."""
+    out: list[tuple[str, int]] = []  # (text, level)
+    for f, (op, a, b) in zip(formulas, ops):
+        if a is None:
+            text, level = ("#" if op is Bottom else f.name), _UNARY_LVL
+        else:
+            pre, infix, level, least = _SHAPES["~" if op is Implies and ops[b][0] is Bottom else op]
+            text = pre + infix.join([out[k][0] if out[k][1] >= bare else f"({out[k][0]})"
+                                     for k, bare in zip((a, b), least)])
+        out.append((text, level))
+        object.__setattr__(f, "_text", text)
+    return tuple(text for text, _ in out)
 
 
 def format_formula(f: Formula) -> str:
-    """Render with minimal parentheses; parse(format_formula(f)) == f."""
-    return _render(f, _IMPL)
+    """Render with minimal parentheses; parse(format_formula(f)) == f.
+    Printed by `format_texts` over f's subformulas, once per node."""
+    if not hasattr(f, "_text"):  # index lists the subformulas in post-order
+        index = {g: i for i, g in enumerate(subformulas(f))}
+        format_texts(index, [(type(g), *[index[c] for c in children(g)], None, None)[:3]
+                             for g in index])
+    return f._text
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +386,9 @@ def eliminate_exists(f: Formula) -> Formula:
     """
     out: dict[Formula, Formula] = {}
     for g in subformulas(f):  # post-order: operands are rewritten first
-        if isinstance(g, Exists):
-            out[g] = neg(Forall(neg(out[g.body])))
-        elif isinstance(g, (And, Or, Implies)):
-            out[g] = type(g)(out[g.left], out[g.right])
-        elif isinstance(g, (Next, Eventually, Henceforth, Forall)):
-            out[g] = type(g)(out[g.body])
-        else:
-            out[g] = g
+        operands = [out[c] for c in children(g)]
+        out[g] = (neg(Forall(neg(*operands))) if isinstance(g, Exists)
+                  else type(g)(*operands) if operands else g)
     return out[f]
 
 
@@ -415,14 +419,11 @@ def godel_tarski(f: Formula) -> str:
         return "*" + f.name
     if isinstance(f, Implies):
         return f"*({godel_tarski(f.left)} -> {godel_tarski(f.right)})"
-    if isinstance(f, And):
-        return f"({godel_tarski(f.left)} & {godel_tarski(f.right)})"
-    if isinstance(f, Or):
-        return f"({godel_tarski(f.left)} | {godel_tarski(f.right)})"
+    if isinstance(f, (And, Or)):
+        return f"({godel_tarski(f.left)}{_SHAPES[type(f)][1]}{godel_tarski(f.right)})"
     if isinstance(f, Henceforth):
         return "*[]" + godel_tarski(f.body)
-    op = {Next: "X", Eventually: "<>", Forall: "A", Exists: "E"}[type(f)]
-    return op + godel_tarski(f.body)
+    return _UNARY[type(f)].value + godel_tarski(f.body)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +435,8 @@ def random_formula(rng: random.Random, depth: int, atoms: tuple[str, ...] = ("p"
     leaves = [Atom(a) for a in atoms] + [BOT]
     if depth <= 0:
         return rng.choice(leaves)
-    ops: list[object] = [And, Or, Implies]
-    unary = {Modality.NEXT: Next, Modality.EVENTUALLY: Eventually,
-             Modality.HENCEFORTH: Henceforth, Modality.FORALL: Forall,
-             Modality.EXISTS: Exists}
-    ops.extend(unary[m] for m in sorted(modalities, key=lambda m: m.value))
-    ops.append(None)  # stop early
-    op = rng.choice(ops)
+    unary = [t for t, m in sorted(_UNARY.items(), key=lambda tm: tm[1].value) if m in modalities]
+    op = rng.choice([And, Or, Implies, *unary, None])  # None stops early
     if op is None:
         return rng.choice(leaves)
     if op in (And, Or, Implies):

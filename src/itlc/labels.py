@@ -11,11 +11,12 @@ nearby; a sensible pair is a now/next-compatible pair of types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import NO_DEADLINE, Deadline
 from .errors import SigmaMismatchError
 from .formula import (And, Bottom, Eventually, Forall, Formula, Implies,
-                      Next, Or, children, subformulas)
+                      Next, Or, children, format_texts, subformulas)
 
 
 _MASK_BLOCK = 4096
@@ -41,7 +42,7 @@ class SigmaContext:
                                      f"{g} must precede {f}")
 
         # (node type, first operand, second operand) per formula, with None
-        # for an operand the node lacks; read by _bits
+        # for an operand the node lacks; read by _bits and format_texts
         self._ops = tuple((type(f), *[self.index[g] for g in children(f)], None, None)[:3]
                           for f in formulas)
         self.impl_triples = tuple((self.index[f], self.index[f.left], self.index[f.right])
@@ -188,9 +189,13 @@ class SigmaContext:
             pattern = self.pattern_of(now)
         return pattern is not None and nxt & pattern[0] == pattern[1]
 
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """`format_formula` of each formula, all printed in one pass."""
+        return format_texts(self.formulas, self._ops)
+
     def format_mask(self, mask: int) -> str:
-        members = [str(self.formulas[i]) for i in range(len(self.formulas)) if mask >> i & 1]
-        return "{" + ", ".join(members) + "}"
+        return "{" + ", ".join(t for i, t in enumerate(self.texts) if mask >> i & 1) + "}"
 
 
 def subformula_closure(f: Formula) -> SigmaContext:

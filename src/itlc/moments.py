@@ -139,7 +139,7 @@ def check_kit(sigma: SigmaContext, label: int, kids: tuple[Moment, ...]) -> None
     for i in sigma.defect_indices(label):
         if all(c.label >> i & 1 for c in kids):
             raise KitError(
-                f"defect {sigma.formulas[i]} of {sigma.format_mask(label)} "
+                f"defect {sigma.texts[i]} of {sigma.format_mask(label)} "
                 f"is revoked by no child")
 
 

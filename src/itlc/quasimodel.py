@@ -29,8 +29,8 @@ from typing import NamedTuple
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
                      ItlcError, SchemaError, read_json)
-from .formula import (Forall, Formula, eliminate_exists, format_formula,
-                      in_diamond_fragment, parse)
+from .formula import (Forall, Formula, Henceforth, eliminate_exists,
+                      format_formula, parse)
 from .labels import (SigmaContext, profile_compatible, profile_masks, reach_back,
                      subformula_closure, viable_types)
 from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _successor, below,
@@ -91,7 +91,7 @@ class Quasimodel:
         profile = [] if self.profile is None else [i for i in range(len(sigma))
                                                    if self.profile >> i & 1]
         return {
-            "sigma": [format_formula(f) for f in sigma.formulas],
+            "sigma": list(sigma.texts),
             "profile": profile,
             "worlds": [{"id": i, "moment": m.to_json()} for i, m in enumerate(self.worlds)],
             "order": [list(p) for p in self.order_pairs()],
@@ -175,12 +175,12 @@ def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
         for fi, fb in sigma.ev_pairs:
             if label >> fi & 1 and i not in found[fb]:
                 return Check(False,
-                             f"eventuality {sigma.formulas[fi]} of world {i} unrealized")
+                             f"eventuality {sigma.texts[fi]} of world {i} unrealized")
     for fi, fb in sigma.forall_pairs:
         everywhere_f = all(m.label >> fi & 1 for m in q.worlds)
         everywhere_b = all(m.label >> fb & 1 for m in q.worlds)
         if everywhere_f != everywhere_b:
-            return Check(False, f"labels dishonest about {sigma.formulas[fi]}")
+            return Check(False, f"labels dishonest about {sigma.texts[fi]}")
     if q.profile is not None:
         for i, m in enumerate(q.worlds):
             for label in m.node_labels():
@@ -384,7 +384,7 @@ def _lasso_problem(q: Quasimodel, start: int, lasso: Lasso) -> str | None:
             if not label >> fi & 1:
                 continue
             if not any(q.worlds[j].label >> fb & 1 for j in seq[min(pos, loop_start):]):
-                return f"eventuality {sigma.formulas[fi]} unrealized at position {pos}"
+                return f"eventuality {sigma.texts[fi]} unrealized at position {pos}"
     return None
 
 
@@ -484,14 +484,16 @@ def _decode(cert, target: Formula,
 
 def _verify(data: dict, target: Formula,
             deadline: Deadline = NO_DEADLINE) -> Check | Certificate:
-    if parse(data["target"]) != target:
+    # a text equal to the one printed here needs no parse: parse(format_formula(f)) == f
+    if data["target"] != format_formula(target) and parse(data["target"]) != target:
         return Check(False, "target mismatch")
     try:
         reduced, sigma = fragment_context(target)
     except FragmentError:
         return Check(False, "target outside the decidable fragment")
-    listed = [parse(s) for s in data["sigma"]]
-    if tuple(listed) != sigma.formulas:
+    listed = list(data["sigma"])
+    if len(listed) != len(sigma) or not all(
+            s == text or parse(s) == f for s, text, f in zip(listed, sigma.texts, sigma.formulas)):
         return Check(False, "sigma does not match the target's subformula closure")
 
     profile = 0
@@ -537,8 +539,6 @@ def _verify(data: dict, target: Formula,
     if data["witness"] not in remap:
         return Check(False, "witness id unknown")
     witness = remap[data["witness"]]
-    if reduced not in sigma.index:
-        return Check(False, "target not in its own closure")
     if not q.root_lacks(witness, sigma.index[reduced]):
         return Check(False, "witness root label contains the target")
 
@@ -577,11 +577,12 @@ def fragment_context(f: Formula) -> tuple[Formula, SigmaContext]:
     """f with its existentials eliminated, and the context of that formula;
     FragmentError unless it uses only next, eventually and forall."""
     reduced = eliminate_exists(f)
-    if not in_diamond_fragment(reduced):
+    sigma = subformula_closure(reduced)  # the one walk: the fragment test reads it
+    if any(isinstance(g, Henceforth) for g in sigma.formulas):  # no E is left
         raise FragmentError(
             "need a next/eventually/forall formula (after removing "
             f"existentials); got {format_formula(reduced)}")
-    return reduced, subformula_closure(reduced)
+    return reduced, sigma
 
 
 @dataclass(frozen=True)
@@ -736,11 +737,9 @@ def _generated(q: Quasimodel, seeds: list[int],
 
 
 def _outcome_list(sigma: SigmaContext, outcomes: dict[int, str]) -> tuple[str, ...]:
-    out = []
-    for profile, text in sorted(outcomes.items()):
-        names = [str(sigma.formulas[i]) for i in range(len(sigma)) if profile >> i & 1]
-        out.append(f"profile {{{', '.join(names)}}}: {text}")
-    return tuple(out)
+    names = {i: format_formula(sigma.formulas[i]) for i, _ in sigma.forall_pairs}
+    return tuple(f"profile {{{', '.join(t for i, t in names.items() if profile >> i & 1)}}}: {text}"
+                 for profile, text in sorted(outcomes.items()))
 
 
 # ---------------------------------------------------------------------------

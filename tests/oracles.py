@@ -8,8 +8,8 @@ import itertools
 
 from itlc.alexandroff import FinitePoset, FiniteSystem, interior
 from itlc.errors import ItlcError, SchemaError
-from itlc.formula import (And, Atom, Eventually, Exists, Forall, Henceforth, Implies,
-                          Next, Or)
+from itlc.formula import (BOT, And, Atom, Bottom, Eventually, Exists, Forall, Henceforth,
+                          Implies, Next, Or)
 from itlc.labels import enumerate_types, profile_compatible
 from itlc.moments import check_kit, moment, temporal_successor
 from itlc.quasimodel import Check
@@ -189,6 +189,29 @@ def truth_oracle(X, valuation, f):
         return False  # bottom
 
     return frozenset(X.names[x] for x in range(n) if holds(f, x))
+
+
+def format_oracle(f, min_level=0):
+    """The recursive printer the library replaced by its bottom-up one:
+    levels 0 (implies, right associative) < 1 (or) < 2 (and) < 3 (unary),
+    parentheses only where an operand's level is below the least its
+    position allows, and `a -> #` printed as `~a`."""
+    if isinstance(f, Bottom):
+        return "#"
+    if isinstance(f, Atom):
+        return f.name
+    unary = {Next: "X", Eventually: "<>", Henceforth: "[]", Forall: "A", Exists: "E"}
+    if isinstance(f, Implies) and f.right == BOT:
+        text, level = "~" + format_oracle(f.left, 3), 3
+    elif type(f) in unary:
+        text, level = unary[type(f)] + format_oracle(f.body, 3), 3
+    elif isinstance(f, And):
+        text, level = format_oracle(f.left, 2) + " & " + format_oracle(f.right, 3), 2
+    elif isinstance(f, Or):
+        text, level = format_oracle(f.left, 1) + " | " + format_oracle(f.right, 2), 1
+    else:
+        text, level = format_oracle(f.left, 1) + " -> " + format_oracle(f.right, 0), 0
+    return f"({text})" if level < min_level else text
 
 
 def _path_to(start, successors, goal):

@@ -16,6 +16,8 @@ from itlc.formula import (MAX_NESTING, And, Atom, BOT, Bottom, Eventually, Exist
                           eliminate_exists, format_formula, fragment_of,
                           godel_tarski, in_diamond_fragment, parse,
                           random_formula, subformulas)
+from itlc.labels import SigmaContext
+from oracles import format_oracle
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -60,13 +62,16 @@ def test_parse_errors_carry_position():
         parse("p q")
 
 
-@pytest.mark.parametrize("nest", [
+NESTS = [
     lambda n: "X" * n + "p",
     lambda n: "E" * n + "p",
     lambda n: "(" * n + "p" + ")" * n,
     lambda n: " -> ".join(["p"] * (n + 1)),
     lambda n: " & ".join(["p"] * (n + 1)),
-])
+]
+
+
+@pytest.mark.parametrize("nest", NESTS)
 def test_nesting_bound(nest):
     deepest = parse(nest(MAX_NESTING))
     assert parse(format_formula(deepest)) == deepest
@@ -87,6 +92,26 @@ def test_format_sugar_inverse():
     assert format_formula(Implies(Implies(p, q), r)) == "(p -> q) -> r"
     assert format_formula(Next(Eventually(p))) == "X<>p"
     assert format_formula(Implies(Or(p, q), BOT)) == "~(p | q)"
+
+
+def test_printer_matches_recursive_reference():
+    # byte-identical to the recursive printer it replaced, for whole
+    # formulas and for a context's texts
+    rng = random.Random(20261019)
+    cases = [random_formula(rng, depth, ("p", "q", "r")) for depth in range(7) for _ in range(200)]
+    cases += [Implies(Implies(p, BOT), BOT), Implies(Implies(p, q), BOT), Implies(p, Implies(q, BOT)),
+              Implies(BOT, BOT), Implies(BOT, p), Next(Implies(p, BOT)), Implies(Next(p), BOT),
+              And(Implies(p, BOT), q), Implies(And(p, q), BOT), And(p, And(q, r)), And(And(p, q), r),
+              Or(p, Or(q, r)), Or(Or(p, q), r), Or(And(p, q), r), And(Or(p, q), r),
+              Implies(p, Implies(q, r)), Implies(Implies(p, q), r), Forall(Implies(p, q)),
+              Implies(Or(p, q), And(q, r)), Or(Implies(p, q), r), And(Implies(p, q), Implies(q, p)),
+              parse("(q <-> (q <-> (q <-> p)))")]
+    deep = [parse(nest(MAX_NESTING)) for nest in NESTS]
+    cases += deep + [eliminate_exists(f) for f in deep]
+    for f in cases:
+        assert format_formula(f) == format_oracle(f)
+        sigma = SigmaContext(subformulas(f))
+        assert sigma.texts == tuple(format_oracle(g) for g in sigma.formulas)
 
 
 def test_round_trip_seeded():

@@ -359,10 +359,60 @@ def test_verify_rejects_wrong_target(flagship):
     assert not verify_certificate(cert.to_json_dict(), parse("p -> p"))
 
 
+def test_verify_reasons_for_target_and_sigma_faults(flagship):
+    data = decide(flagship).certificate.to_json_dict()
+    sigma = data["sigma"]
+
+    def reason(**fault):
+        return verify_certificate({**data, **fault}, flagship).reason
+
+    mismatch = "sigma does not match the target's subformula closure"
+    assert reason(target="p -> p") == "target mismatch"
+    assert reason(sigma=[sigma[1], sigma[0], *sigma[2:]]) == mismatch
+    assert reason(sigma=sigma[:-1]) == mismatch
+    assert reason(sigma=sigma + ["p"]) == mismatch
+    for bad in ("p &", 7, None):
+        assert reason(sigma=[*sigma[:2], bad, *sigma[3:]]).startswith("malformed certificate: ")
+        assert reason(target=bad).startswith("malformed certificate: ")
+
+
+def test_verify_parses_non_canonical_texts():
+    target = parse("p <-> X p")
+    data = decide(target).certificate.to_json_dict()
+    respelled = {"p": "( p )", "Xp": "X p", "p -> Xp": "p->X p", "Xp -> p": "((X p) -> p)",
+                 "(p -> Xp) & (Xp -> p)": "p <-> X p"}
+    assert sorted(data["sigma"]) == sorted(respelled)
+    data = {**data, "target": "(p)<->Xp", "sigma": [respelled[s] for s in data["sigma"]]}
+    assert verify_certificate(data, target)
+
+
+def test_canonical_sigma_past_the_parse_bound_verifies():
+    # exists elimination triples the depth: the reduced target's canonical
+    # text is refused by parse, so only the canonical match accepts it
+    f = parse("E(" + " & ".join(["p"] * itlc.formula.MAX_NESTING) + ")")
+    verdict = decide(f)
+    assert verdict.kind == "FALSIFIABLE"
+    data = json.loads(verdict.certificate.to_json_text())
+    with pytest.raises(itlc.ParseError, match="nested deeper"):
+        parse(data["sigma"][-1])
+    assert verify_certificate(data, f)
+    data["sigma"][-1] = f"({data['sigma'][-1]})"
+    assert verify_certificate(data, f).reason.startswith("malformed certificate: ")
+
+
 def test_verify_honours_an_expired_deadline(flagship):
     cert = decide(flagship).certificate
     with pytest.raises(itlc.CapExceeded, match="certificate verification"):
         verify_certificate(cert, flagship, itlc.config.Deadline(0))
+
+
+def test_timeout_bounds_the_profile_outcome_list():
+    # 2^15 profiles: printing each one's A-formulas from scratch once took
+    # 4.8 s past this 0.5 s timeout
+    start = time.monotonic()
+    verdict = decide(parse("E" * 15 + "p -> p & q"), itlc.Caps(timeout=0.5))
+    assert verdict.kind == "RESOURCE_LIMIT" and len(verdict.profile_outcomes) == 2 ** 15
+    assert time.monotonic() - start < 2.5
 
 
 def test_decide_resource_limit_never_claims_valid():
