@@ -3,10 +3,10 @@
 A finite poset with the down-set topology (opens are the downward closed
 sets) and a monotone self-map is a dynamical system.  This module
 evaluates the full language over such systems, searches for
-countermodels by exhaustive enumeration, and decides minimality,
-recurrence and connectedness directly from their definitions.  It is
-deliberately independent of the quasimodel machinery so the two can
-check each other.
+countermodels by exhaustive enumeration up to isomorphism, and decides
+minimality, recurrence and connectedness directly from their
+definitions.  It is deliberately independent of the quasimodel machinery
+so the two can check each other.
 
 Element sets are integer bitmasks internally; the public API speaks in
 element names.  Each evaluate, validity or countermodel call compiles its
@@ -20,11 +20,15 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import CapExceeded, SchemaError, read_json
 from .formula import (And, Atom, Bottom, Eventually, Exists, Forall, Formula,
                       Henceforth, Implies, Next, Or, children, subformulas)
+
+
+_NOTHING: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,15 @@ class FinitePoset:
                         raise SchemaError(
                             f"order: antisymmetry fails on "
                             f"({self.names[i]}, {self.names[j]})")
+
+    @classmethod
+    def _trusted(cls, names: tuple[str, ...], down: tuple[int, ...]) -> FinitePoset:
+        """A poset whose order the caller has already built as a partial
+        order, without checking it again."""
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "names", names)
+        object.__setattr__(poset, "down", down)
+        return poset
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.down[b] >> a & 1)
@@ -100,7 +113,17 @@ class FiniteSystem:
             mask |= 1 << index[name]
         return mask
 
+    @cached_property
+    def _everything(self) -> frozenset[str]:
+        return frozenset(self.names)
+
     def names_of(self, mask: int) -> frozenset[str]:
+        """The names of the elements in a mask.  The empty set and the whole
+        space, the commonest truth sets, are shared instead of built anew."""
+        if not mask:
+            return _NOTHING
+        if mask == self.full_mask():
+            return self._everything
         return frozenset(n for i, n in enumerate(self.names) if mask >> i & 1)
 
 
@@ -355,25 +378,40 @@ def _posets(n: int, deadline: Deadline = NO_DEADLINE):
     i != j, meaning i below j: the up-sets of 0, 1, ... are chosen in
     turn, and a branch is kept only while they are antisymmetric and
     transitive among themselves (b above a needs up(b) within up(a)).
-    The deadline is checked at every step of the walk."""
+    The walk keeps its branch on an explicit stack and checks the
+    deadline at every step (once per up-set chosen)."""
     names = tuple(_element_names(n))
     # the possible up-sets of each element, ordered by their bits for j = 0, 1, ...
     choices = [sorted((m for m in range(1 << n) if not m >> i & 1),
                       key=lambda m: [m >> j & 1 for j in range(n)]) for i in range(n)]
-
-    def extend(up):
-        deadline.check("poset enumeration")
-        i = len(up)
+    up = [0] * n
+    tried = [0]  # tried[i]: the choices of element i used up on this branch
+    deadline.check("poset enumeration")
+    while tried:
+        i = len(tried) - 1
         if i == n:
-            yield FinitePoset(names, tuple(1 << j | sum(1 << a for a in range(n) if up[a] >> j & 1)
-                                           for j in range(n)))
-            return
-        for mask in choices[i]:
-            if all(not (up[a] >> i & 1 and mask & ~up[a] or
-                        mask >> a & 1 and up[a] & ~mask) for a in range(i)):
-                yield from extend(up + (mask,))
-
-    return extend(())
+            tried.pop()
+            yield FinitePoset._trusted(names, tuple(
+                1 << j | sum(1 << a for a in range(n) if up[a] >> j & 1) for j in range(n)))
+            continue
+        options = choices[i]
+        # up(i) lies within up(a) for each a below i, and holds up(a) for each a above i
+        within = ~0
+        for a in range(i):
+            if up[a] >> i & 1:
+                within &= up[a]
+        for k in range(tried[i], len(options)):
+            mask = options[k]
+            if not mask & ~within and all(not (mask >> a & 1 and up[a] & ~mask)
+                                          for a in range(i)):
+                break
+        else:
+            tried.pop()
+            continue
+        tried[i] = k + 1
+        up[i] = mask
+        tried.append(0)
+        deadline.check("poset enumeration")
 
 
 def monotone_maps(poset: FinitePoset):
@@ -381,23 +419,34 @@ def monotone_maps(poset: FinitePoset):
 
     The images of elements 0, 1, ... are chosen in turn, each in
     ascending order, and an image is kept only if it is comparable as
-    required with the images of the elements already placed."""
+    required with the images of the elements already placed: above the
+    images of the elements below, below the images of those above.  The
+    branch is kept on an explicit stack."""
     n = len(poset)
     down = poset.down
+    up = [sum(1 << y for y in range(n) if down[y] >> x & 1) for x in range(n)]
     lower = [[a for a in range(i) if down[i] >> a & 1] for i in range(n)]
     upper = [[a for a in range(i) if down[a] >> i & 1] for i in range(n)]
-
-    def extend(f):
-        i = len(f)
+    f = [0] * n
+    tried = [0]  # tried[i]: the images of element i used up on this branch
+    while tried:
+        i = len(tried) - 1
         if i == n:
-            yield f
-            return
-        for y in range(n):
-            if (all(down[y] >> f[a] & 1 for a in lower[i])
-                    and all(down[f[a]] >> y & 1 for a in upper[i])):
-                yield from extend(f + (y,))
-
-    return extend(())
+            tried.pop()
+            yield tuple(f)
+            continue
+        allowed = (1 << n) - 1
+        for a in lower[i]:
+            allowed &= up[f[a]]
+        for a in upper[i]:
+            allowed &= down[f[a]]
+        allowed >>= tried[i]
+        if not allowed:
+            tried.pop()
+            continue
+        f[i] = tried[i] + (allowed & -allowed).bit_length() - 1
+        tried[i] = f[i] + 1
+        tried.append(0)
 
 
 def _monotonicity_test(poset: FinitePoset):
@@ -419,6 +468,49 @@ def _systems(n: int, deadline: Deadline = NO_DEADLINE):
             yield FiniteSystem(poset, f)
 
 
+def _relabelled(down: tuple[int, ...], perm) -> tuple[int, ...]:
+    """The down-sets of a poset after renaming each element i to perm[i]."""
+    out = [0] * len(down)
+    for j, below in enumerate(down):
+        out[perm[j]] = sum(1 << perm[i] for i in range(len(down)) if below >> i & 1)
+    return tuple(out)
+
+
+def _first_of_each_class(n: int, deadline: Deadline):
+    """The walk of _systems(n) with each isomorphism class evaluated once.
+
+    Yields (count, X): X is the first system of its class in walk order,
+    or None when the count systems just passed are copies of earlier ones.
+    A poset is skipped when a relabelling of it came earlier, and stands
+    for as many systems as the first poset of its class, since isomorphic
+    posets have equally many monotone maps.  On a kept poset, a map is
+    skipped when a conjugate of it under the poset's automorphisms came
+    earlier."""
+    classes = {}  # every relabelling of a kept poset -> [its class's map count]
+    for poset in _posets(n, deadline):
+        known = classes.get(poset.down)
+        if known is not None:
+            yield known[0], None
+            continue
+        maps = [0]
+        autos = []
+        for perm in itertools.permutations(range(n)):
+            deadline.check("countermodel search")
+            image = _relabelled(poset.down, perm)
+            classes.setdefault(image, maps)
+            if image == poset.down:
+                autos.append((perm, sorted(range(n), key=perm.__getitem__)))
+        seen = set()
+        for f in monotone_maps(poset):
+            maps[0] += 1
+            if f in seen:
+                yield 1, None
+                continue
+            if len(autos) > 1:  # add perm . f . perm^-1 for each automorphism perm
+                seen.update(tuple(perm[f[i]] for i in inverse) for perm, inverse in autos)
+            yield 1, FiniteSystem(poset, f)
+
+
 def _element_names(n: int) -> list[str]:
     return [f"e{i}" for i in range(n)]
 
@@ -434,18 +526,25 @@ def find_countermodel(f: Formula, max_points: int,
                       caps: Caps = DEFAULT_CAPS) -> Countermodel | None:
     """Search all systems up to the given size and all open valuations
     for a point falsifying the formula; first hit in canonical order.
-    Systems are enumerated lazily, so max_systems and the timeout trip
-    as the search reaches them."""
+
+    Only the first system of each isomorphism class is evaluated: a later
+    copy that falsified the formula would have an earlier copy that
+    falsifies it too, so the first hit is the one the full walk finds.
+    Systems are enumerated lazily, and max_systems counts every labelled
+    system the walk reaches, skipped copies included, so it and the
+    timeout trip as the search reaches them."""
     deadline = caps.deadline()
     program = _compile(f)
     atoms = _atoms(program)
     examined = 0
     for n in range(1, max_points + 1):
-        for X in _systems(n, deadline):
-            examined += 1
+        for count, X in _first_of_each_class(n, deadline):
+            examined += count
             if examined > caps.max_systems:
                 raise CapExceeded(f"countermodel search passed {caps.max_systems} systems")
             deadline.check("countermodel search")
+            if X is None:
+                continue
             opens = open_masks(X)
             tables = _Tables(X)
             for combo in itertools.product(opens, repeat=len(atoms)):

@@ -19,7 +19,8 @@ class Caps:
     max_moments     accepted irreducible moments before enumeration is cut off;
                     generation also stops after examining 4x as many candidates
     max_valuations  evaluation budget for exhaustive valuation search
-    max_systems     systems examined during countermodel search
+    max_systems     labelled systems the countermodel search reaches, the
+                    isomorphic copies it skips included
     timeout         wall-clock seconds for a single decide, enumerate, extract,
                     valid or countermodel call; deadline() starts its clock,
                     and every loop of the call that can grow superlinearly

@@ -792,6 +792,9 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
     for m in generation.snapshot():
         deadline.check("simulation pruning")
         alive.update((m, x) for x in range(n) if simulates(m, x))
+    # simulates refers to itself, so the memo and its moments would wait
+    # for the cycle collector; dropping the name frees them now
+    del simulates
 
     covered = {x for _, x in alive}
     if covered != set(range(n)):

@@ -6,8 +6,10 @@ can disagree.
 
 import itertools
 
-from itlc.alexandroff import FinitePoset, FiniteSystem, interior
-from itlc.errors import ItlcError, SchemaError
+from itlc.alexandroff import (Countermodel, FinitePoset, FiniteSystem, _atoms, _compile,
+                              _evaluate_mask, _systems, _Tables, interior, open_masks)
+from itlc.config import DEFAULT_CAPS
+from itlc.errors import CapExceeded, ItlcError, SchemaError
 from itlc.formula import (BOT, And, Atom, Bottom, Eventually, Exists, Forall, Henceforth,
                           Implies, Next, Or)
 from itlc.labels import enumerate_types, profile_compatible
@@ -389,3 +391,28 @@ def brute_open_masks(X):
     """Every subset, ascending as a bitmask, that is its own interior."""
     return [m for m in range(1 << len(X))
             if interior(X, X.names_of(m)) == X.names_of(m)]
+
+
+def reference_countermodel(f, max_points, caps=DEFAULT_CAPS):
+    """The countermodel search over every labelled system, isomorphic
+    copies included: the first hit in canonical order, or CapExceeded once
+    more than caps.max_systems systems are reached."""
+    deadline = caps.deadline()
+    program = _compile(f)
+    atoms = _atoms(program)
+    examined = 0
+    for n in range(1, max_points + 1):
+        for X in _systems(n, deadline):
+            examined += 1
+            if examined > caps.max_systems:
+                raise CapExceeded(f"countermodel search passed {caps.max_systems} systems")
+            deadline.check("countermodel search")
+            tables = _Tables(X)
+            for combo in itertools.product(open_masks(X), repeat=len(atoms)):
+                valuation = dict(zip(atoms, combo))
+                truth = _evaluate_mask(tables, valuation, program, {})
+                if truth != tables.full:
+                    point = next(X.names[i] for i in range(n) if not truth >> i & 1)
+                    named = {a: X.names_of(m) for a, m in valuation.items()}
+                    return Countermodel(X, named, point)
+    return None

@@ -1,11 +1,14 @@
 import json
 import math
 import random
+import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 import itlc
+from itlc import alexandroff
 from itlc.alexandroff import (Analysis, FinitePoset, FiniteSystem, _posets, analyze,
                               closure, enumerate_posets, enumerate_systems, evaluate,
                               find_countermodel, interior, is_valid_on_system,
@@ -14,7 +17,8 @@ from itlc.alexandroff import (Analysis, FinitePoset, FiniteSystem, _posets, anal
 from itlc.config import Deadline
 from itlc.formula import parse
 
-from oracles import brute_monotone_maps, brute_open_masks, brute_posets, truth_oracle
+from oracles import (brute_monotone_maps, brute_open_masks, brute_posets,
+                     reference_countermodel, truth_oracle)
 
 
 def _random_valuation(rng, X, atoms):
@@ -35,6 +39,17 @@ def test_antisymmetry_violation_names_pair():
 def test_transitive_closure_applied():
     X = system(["a", "b", "c"], [("a", "b"), ("b", "c")], {n: n for n in "abc"})
     assert X.poset.leq(0, 2)
+
+
+@pytest.mark.parametrize("down, fault", [
+    ((0b10, 0b10), "not reflexive"),
+    ((0b001, 0b011, 0b110), "not transitive"),
+    ((0b11, 0b11), "antisymmetry"),
+])
+def test_poset_constructor_checks_the_order(down, fault):
+    names = tuple(f"e{i}" for i in range(len(down)))
+    with pytest.raises(itlc.SchemaError, match=fault):
+        FinitePoset(names, down)
 
 
 def test_non_monotone_map_rejected():
@@ -193,6 +208,66 @@ def test_countermodel_first_hit_is_pinned(text):
 def test_countermodel_cap_distinct_from_none():
     with pytest.raises(itlc.CapExceeded):
         find_countermodel(parse("p -> p"), 3, itlc.Caps(max_systems=5))
+
+
+def _outcome(search, f, max_points, caps=itlc.Caps()):
+    """The search's hit as system file bytes and point, None, or the cap
+    message."""
+    try:
+        found = search(f, max_points, caps)
+    except itlc.CapExceeded as err:
+        return str(err)
+    if found is None:
+        return None
+    return json.dumps(system_to_json(found.system, found.valuation), sort_keys=True), found.point
+
+
+def test_countermodel_first_hit_matches_the_full_walk():
+    # the search evaluates one system per isomorphism class; the walk over
+    # every labelled system must find the same first hit
+    rng = random.Random(41)
+    hits = 0
+    for _ in range(200):
+        f = itlc.random_formula(rng, 3, ("p", "q", "r"))
+        expected = _outcome(reference_countermodel, f, 3)
+        assert _outcome(find_countermodel, f, 3) == expected, str(f)
+        hits += expected is not None
+    assert hits >= 150
+
+
+@pytest.mark.parametrize("text, reached", [("p -> p", 236), ("(p -> q) | (q -> p)", 98)])
+@pytest.mark.parametrize("cap", [5, 11, 97, 98, 235, 236])
+def test_countermodel_cap_trips_where_the_full_walk_trips(text, reached, cap):
+    # 236 labelled systems have at most 3 points, and the first hit of
+    # (p -> q) | (q -> p) is the 98th of them
+    f = parse(text)
+    caps = itlc.Caps(max_systems=cap)
+    expected = _outcome(reference_countermodel, f, 3, caps)
+    assert _outcome(find_countermodel, f, 3, caps) == expected
+    assert (expected == f"countermodel search passed {cap} systems") == (cap < reached)
+
+
+def test_countermodel_evaluates_one_system_per_class(monkeypatch):
+    # 1, 10, 225 and 9,504 labelled systems on 1 to 4 points
+    sizes = Counter()
+
+    def counted(X):
+        sizes[len(X)] += 1
+        return open_masks(X)
+
+    monkeypatch.setattr(alexandroff, "open_masks", counted)
+    assert find_countermodel(parse("p -> p"), 4, itlc.Caps(max_systems=10**6)) is None
+    assert sizes == {1: 1, 2: 6, 3: 43, 4: 452}
+
+
+def test_countermodel_timeout_covers_the_class_checks():
+    # the flagship has no countermodel with at most 5 points, found in
+    # about a second; the 6-point walk runs far past the timeout
+    start = time.monotonic()
+    with pytest.raises(itlc.CapExceeded, match="timeout"):
+        find_countermodel(parse("A(~p | <>p) -> (~<>p | <>p)"), 6,
+                          itlc.Caps(timeout=0.5, max_systems=10**8))
+    assert time.monotonic() - start < 1.5
 
 
 # ---------------------------------------------------------------------------
