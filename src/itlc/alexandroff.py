@@ -56,15 +56,6 @@ class FinitePoset:
                             f"order: antisymmetry fails on "
                             f"({self.names[i]}, {self.names[j]})")
 
-    @classmethod
-    def _trusted(cls, names: tuple[str, ...], down: tuple[int, ...]) -> FinitePoset:
-        """A poset whose order the caller has already built as a partial
-        order, without checking it again."""
-        poset = object.__new__(cls)
-        object.__setattr__(poset, "names", names)
-        object.__setattr__(poset, "down", down)
-        return poset
-
     def leq(self, a: int, b: int) -> bool:
         return bool(self.down[b] >> a & 1)
 
@@ -83,12 +74,9 @@ class FiniteSystem:
         n = len(self.poset)
         if len(self.f) != n or any(not 0 <= y < n for y in self.f):
             raise SchemaError("map: not a total function on the elements")
-        down, f = self.poset.down, self.f
-        for a in range(n):
-            for b in range(n):
-                if down[b] >> a & 1 and not down[f[b]] >> f[a] & 1:
-                    raise SchemaError(
-                        f"map: not monotone on ({self.names[a]}, {self.names[b]})")
+        if (pair := _disorder(self.poset.down, self.f)) is not None:
+            a, b = pair
+            raise SchemaError(f"map: not monotone on ({self.names[a]}, {self.names[b]})")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -127,23 +115,49 @@ class FiniteSystem:
         return frozenset(n for i, n in enumerate(self.names) if mask >> i & 1)
 
 
+def _trusted(cls, *fields):
+    """An instance of a frozen dataclass from fields the caller has already
+    built valid, without running its checks again."""
+    obj = object.__new__(cls)
+    vars(obj).update(zip(cls.__dataclass_fields__, fields))
+    return obj
+
+
+def _disorder(down: tuple[int, ...], f) -> tuple[int, int] | None:
+    """The first pair (a, b), a below b, whose images under f are out of
+    order, scanning a in the outer loop; None when f is monotone."""
+    for a, fa in enumerate(f):
+        for b, fb in enumerate(f):
+            if down[b] >> a & 1 and not down[fb] >> fa & 1:
+                return a, b
+    return None
+
+
+def _converse(rows) -> list[int]:
+    """The masks of the converse relation, such as up-sets from down-sets."""
+    return [sum(1 << y for y, row in enumerate(rows) if row >> x & 1)
+            for x in range(len(rows))]
+
+
+def _union(masks, members: int) -> int:
+    """The union of masks[i] over the elements i of a mask."""
+    out = 0
+    for i, mask in enumerate(masks):
+        if members >> i & 1:
+            out |= mask
+    return out
+
+
 def _order_closure(n: int, pairs) -> tuple[int, ...]:
     """Down-set masks of the reflexive-transitive closure of the
-    (below, above) index pairs over n elements."""
+    (below, above) index pairs over n elements, by Warshall's algorithm."""
     down = [1 << i for i in range(n)]
     for a, b in pairs:
         down[b] |= 1 << a
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
         for i in range(n):
-            merged = down[i]
-            for j in range(n):
-                if down[i] >> j & 1:
-                    merged |= down[j]
-            if merged != down[i]:
-                down[i] = merged
-                changed = True
+            if down[i] >> k & 1:
+                down[i] |= down[k]
     return tuple(down)
 
 
@@ -346,23 +360,32 @@ def open_masks(X: FiniteSystem) -> list[int]:
     return sorted(opens)
 
 
-def is_valid_on_system(X: FiniteSystem, f: Formula, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Whether the formula holds everywhere under every open valuation."""
-    deadline = caps.deadline()
-    program = _compile(f)
-    atoms = _atoms(program)
+def _falsifying(X: FiniteSystem, program: _Program, atoms: list[str], caps: Caps,
+                deadline: Deadline, what: str) -> tuple[dict[str, int], int] | None:
+    """The first valuation of the atoms to opens, in product order, that
+    falsifies the compiled formula somewhere, with its truth mask, or None.
+    Raises CapExceeded before trying any if there are more than
+    caps.max_valuations; checks the deadline once per 256."""
     opens = open_masks(X)
-    total = len(opens) ** len(atoms) if atoms else 1
+    total = len(opens) ** len(atoms)
     if total > caps.max_valuations:
         raise CapExceeded(f"{total} valuations exceed the cap")
     tables = _Tables(X)
     for k, combo in enumerate(itertools.product(opens, repeat=len(atoms))):
         if k % 256 == 0:
-            deadline.check("validity check")
+            deadline.check(what)
         valuation = dict(zip(atoms, combo))
-        if _evaluate_mask(tables, valuation, program, {}) != tables.full:
-            return False
-    return True
+        truth = _evaluate_mask(tables, valuation, program, {})
+        if truth != tables.full:
+            return valuation, truth
+    return None
+
+
+def is_valid_on_system(X: FiniteSystem, f: Formula, caps: Caps = DEFAULT_CAPS) -> bool:
+    """Whether the formula holds everywhere under every open valuation."""
+    program = _compile(f)
+    return _falsifying(X, program, _atoms(program), caps, caps.deadline(),
+                       "validity check") is None
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +414,8 @@ def _posets(n: int, deadline: Deadline = NO_DEADLINE):
         i = len(tried) - 1
         if i == n:
             tried.pop()
-            yield FinitePoset._trusted(names, tuple(
-                1 << j | sum(1 << a for a in range(n) if up[a] >> j & 1) for j in range(n)))
+            yield _trusted(FinitePoset, names,
+                           tuple(1 << j | below for j, below in enumerate(_converse(up))))
             continue
         options = choices[i]
         # up(i) lies within up(a) for each a below i, and holds up(a) for each a above i
@@ -424,7 +447,7 @@ def monotone_maps(poset: FinitePoset):
     branch is kept on an explicit stack."""
     n = len(poset)
     down = poset.down
-    up = [sum(1 << y for y in range(n) if down[y] >> x & 1) for x in range(n)]
+    up = _converse(down)
     lower = [[a for a in range(i) if down[i] >> a & 1] for i in range(n)]
     upper = [[a for a in range(i) if down[a] >> i & 1] for i in range(n)]
     f = [0] * n
@@ -449,14 +472,6 @@ def monotone_maps(poset: FinitePoset):
         tried.append(0)
 
 
-def _monotonicity_test(poset: FinitePoset):
-    """Whether a map, as a tuple of images, preserves the strict order."""
-    down = poset.down
-    below = [(a, b) for b in range(len(poset)) for a in range(len(poset))
-             if a != b and down[b] >> a & 1]
-    return lambda f: all(down[f[b]] >> f[a] & 1 for a, b in below)
-
-
 def enumerate_systems(n: int) -> list[FiniteSystem]:
     """All labelled systems on n elements, canonical order."""
     return list(_systems(n))
@@ -465,7 +480,7 @@ def enumerate_systems(n: int) -> list[FiniteSystem]:
 def _systems(n: int, deadline: Deadline = NO_DEADLINE):
     for poset in _posets(n, deadline):
         for f in monotone_maps(poset):
-            yield FiniteSystem(poset, f)
+            yield _trusted(FiniteSystem, poset, f)
 
 
 def _relabelled(down: tuple[int, ...], perm) -> tuple[int, ...]:
@@ -508,7 +523,7 @@ def _first_of_each_class(n: int, deadline: Deadline):
                 continue
             if len(autos) > 1:  # add perm . f . perm^-1 for each automorphism perm
                 seen.update(tuple(perm[f[i]] for i in inverse) for perm, inverse in autos)
-            yield 1, FiniteSystem(poset, f)
+            yield 1, _trusted(FiniteSystem, poset, f)
 
 
 def _element_names(n: int) -> list[str]:
@@ -532,7 +547,8 @@ def find_countermodel(f: Formula, max_points: int,
     falsifies it too, so the first hit is the one the full walk finds.
     Systems are enumerated lazily, and max_systems counts every labelled
     system the walk reaches, skipped copies included, so it and the
-    timeout trip as the search reaches them."""
+    timeout trip as the search reaches them; max_valuations bounds the
+    valuations of each system evaluated."""
     deadline = caps.deadline()
     program = _compile(f)
     atoms = _atoms(program)
@@ -545,15 +561,11 @@ def find_countermodel(f: Formula, max_points: int,
             deadline.check("countermodel search")
             if X is None:
                 continue
-            opens = open_masks(X)
-            tables = _Tables(X)
-            for combo in itertools.product(opens, repeat=len(atoms)):
-                valuation = dict(zip(atoms, combo))
-                truth = _evaluate_mask(tables, valuation, program, {})
-                if truth != tables.full:
-                    point = next(X.names[i] for i in range(n) if not truth >> i & 1)
-                    named = {a: X.names_of(m) for a, m in valuation.items()}
-                    return Countermodel(X, named, point)
+            if hit := _falsifying(X, program, atoms, caps, deadline, "countermodel search"):
+                valuation, truth = hit
+                point = next(X.names[i] for i in range(n) if not truth >> i & 1)
+                named = {a: X.names_of(m) for a, m in valuation.items()}
+                return Countermodel(X, named, point)
     return None
 
 
@@ -574,64 +586,28 @@ class Analysis:
 def analyze(X: FiniteSystem) -> Analysis:
     """Minimality, recurrence, and connectedness from their definitions.
 
-    Minimal: the orbit of every point is dense (its up-closure is the
-    whole space).  Recurrent: every principal open contains a point that
-    returns to it; principal opens suffice since every nonempty open
-    contains one.  Connected: no split into two disjoint nonempty opens,
-    i.e. the comparability graph is connected.
+    Minimal: the orbit of every point is dense (it meets every cone).
+    Recurrent: every principal open contains a point that returns to it;
+    principal opens suffice since every nonempty open contains one.
+    Connected: no split into two disjoint nonempty opens, i.e. closing the
+    first point under comparability reaches every point.
     """
-    n = len(X)
-    full = X.full_mask()
-
-    minimal = True
+    n, down, f = len(X), X.down, X.f
+    orbit = []  # orbit[x]: the mask of x, f(x), f(f(x)), ...
     for x in range(n):
-        orbit = 0
-        y = x
-        while not orbit >> y & 1:
-            orbit |= 1 << y
-            y = X.f[y]
-        up = 0
-        for i in range(n):
-            if any(orbit >> j & 1 and X.down[i] >> j & 1 for j in range(n)):
-                up |= 1 << i
-        if up != full:
-            minimal = False
-            break
-
-    recurrent = True
-    for x in range(n):
-        cone = X.down[x]
-        hit = False
-        for y in range(n):
-            if not cone >> y & 1:
-                continue
-            z = X.f[y]
-            seen = set()
-            while z not in seen:
-                if cone >> z & 1:
-                    hit = True
-                    break
-                seen.add(z)
-                z = X.f[z]
-            if hit:
-                break
-        if not hit:
-            recurrent = False
-            break
-
-    seen_mask = 1
-    frontier = [0] if n else []
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in range(n):
-                if not seen_mask >> j & 1 and (X.poset.leq(i, j) or X.poset.leq(j, i)):
-                    seen_mask |= 1 << j
-                    nxt.append(j)
-        frontier = nxt
-    connected = seen_mask == full
-
-    return Analysis(minimal, recurrent, connected)
+        mask = 0
+        while not mask >> x & 1:
+            mask |= 1 << x
+            x = f[x]
+        orbit.append(mask)
+    minimal = all(below & mask for mask in orbit for below in down)
+    returns = [orbit[f[y]] for y in range(n)]  # the points y reaches in one or more steps
+    recurrent = all(_union(returns, below) & below for below in down)
+    comparable = [above | below for above, below in zip(_converse(down), down)]
+    component = 1
+    while (grown := component | _union(comparable, component)) != component:
+        component = grown
+    return Analysis(minimal, recurrent, component == X.full_mask())
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +623,9 @@ def random_system(n: int, seed: int = 0) -> FiniteSystem:
     # i below j only for i < j, so the closure is acyclic
     pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.35]
     poset = FinitePoset(names, _order_closure(n, pairs))
-    is_monotone = _monotonicity_test(poset)
     for _ in range(512):
         f = tuple(rng.randrange(n) for _ in range(n))
-        if is_monotone(f):
+        if _disorder(poset.down, f) is None:
             return FiniteSystem(poset, f)
     target = rng.randrange(n)
     return FiniteSystem(poset, tuple(target for _ in range(n)))

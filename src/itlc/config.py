@@ -18,7 +18,9 @@ class Caps:
 
     max_moments     accepted irreducible moments before enumeration is cut off;
                     generation also stops after examining 4x as many candidates
-    max_valuations  evaluation budget for exhaustive valuation search
+    max_valuations  open valuations of the atoms on one system, for a valid
+                    call and for each system a countermodel search evaluates;
+                    more raise CapExceeded before any is tried
     max_systems     labelled systems the countermodel search reaches, the
                     isomorphic copies it skips included
     timeout         wall-clock seconds for a single decide, enumerate, extract,

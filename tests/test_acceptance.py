@@ -103,15 +103,16 @@ def test_criterion_05_recurrence_characterization():
 
 
 def test_criterion_06_connectedness():
+    # a disconnected finite space has a clopen component to take for p
     f = parse("A(p | ~p) -> (A p | A~p)")
+    t0 = time.monotonic()
     checked = 0
     for X in itertools.chain(_harness_systems(), _random_harness()):
-        if itlc.analyze(X).connected:
-            assert itlc.is_valid_on_system(X, f)
-            checked += 1
-    antichain = itlc.system(["a", "b"], [], {"a": "a", "b": "b"})
-    assert not itlc.is_valid_on_system(antichain, f)
-    _report(6, f"{checked} connected systems validate; 2-point antichain falsifies")
+        assert itlc.analyze(X).connected == itlc.is_valid_on_system(X, f)
+        checked += 1
+    elapsed = time.monotonic() - t0
+    assert elapsed < 300
+    _report(6, f"{checked} systems in {elapsed:.1f}s")
 
 
 def test_criterion_07_semantics_identities():

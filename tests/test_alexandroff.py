@@ -170,6 +170,37 @@ def test_validity_cap():
         is_valid_on_system(X, parse("p & q & r -> p"), itlc.Caps(max_valuations=3))
 
 
+def test_countermodel_valuation_cap():
+    # the one-point system already has 2^3 valuations
+    with pytest.raises(itlc.CapExceeded, match="8 valuations exceed the cap"):
+        find_countermodel(parse("p & q & r -> p"), 2, itlc.Caps(max_valuations=3))
+
+
+def test_valuation_searches_check_the_deadline_every_256(monkeypatch):
+    # the formula holds under each of the 8^4 = 4,096 valuations of the
+    # 3-point antichain, so both searches try them all
+    gaps = [0]  # valuations tried since each deadline check, the latest last
+
+    class Stub:
+        def check(self, what):
+            gaps.append(0)
+
+    evaluate_mask = alexandroff._evaluate_mask
+
+    def counted(*args):
+        gaps[-1] += 1
+        return evaluate_mask(*args)
+
+    monkeypatch.setattr(alexandroff, "_evaluate_mask", counted)
+    monkeypatch.setattr(itlc.Caps, "deadline", lambda caps: Stub())
+    f = parse("p1 & p2 & p3 & p4 -> p1")
+    assert is_valid_on_system(system(["a", "b", "c"], [], {n: n for n in "abc"}), f)
+    assert sum(gaps) == 8 ** 4 and max(gaps) <= 256
+    gaps[:] = [0]
+    assert find_countermodel(f, 3) is None
+    assert sum(gaps) > 8 ** 4 and max(gaps) <= 256
+
+
 def test_countermodel_examples():
     assert find_countermodel(parse("p -> p"), 3) is None
     found = find_countermodel(parse("X p -> p"), 2)

@@ -60,6 +60,11 @@ def test_countermodel_subcommand(capsys):
     assert run(["countermodel", "p -> p", "--max-points", "2"]) == 0
 
 
+def test_countermodel_honours_max_valuations(capsys):
+    assert run(["countermodel", "p & q & r -> p", "--max-valuations", "3"]) == 3
+    assert "valuations exceed the cap" in capsys.readouterr().err
+
+
 def test_analyze_subcommand(capsys):
     assert run(["analyze", FIXTURE, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
