@@ -17,13 +17,12 @@ lookup tables built per system for that call.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
-from .errors import CapExceeded, SchemaError, read_json
+from .errors import CapExceeded, SchemaError, read_json, write_json
 from .formula import (And, Atom, Bottom, Eventually, Exists, Forall, Formula,
                       Henceforth, Implies, Next, Or, children, subformulas)
 
@@ -703,6 +702,4 @@ def load_system(path):
 
 
 def save_system(X: FiniteSystem, valuation, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(X, valuation), fh, indent=2)
-        fh.write("\n")
+    write_json(path, system_to_json(X, valuation))

@@ -14,11 +14,12 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 
 from . import alexandroff, quasimodel
 from .config import Caps, DEFAULT_CAPS
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
-                     ItlcError, ParseError, SchemaError, read_json)
+                     ItlcError, ParseError, SchemaError, read_json, write_json)
 from .formula import Atom, format_formula, parse, subformulas
 from .moments import enumerate_irreducibles
 
@@ -42,6 +43,24 @@ def _timeout(text: str) -> float:
     return Caps(timeout=float(text)).timeout
 
 
+def _command(sub, name: str, handler, help: str, formats=(), caps=()):
+    """Register one subcommand with its handler and, for a command that
+    takes caps, --timeout, --jobs and the named Caps fields it honours;
+    the first of formats is the default."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
+    if caps:
+        for cap in caps:
+            p.add_argument("--" + cap.replace("_", "-"), type=int,
+                           default=getattr(DEFAULT_CAPS, cap))
+        p.add_argument("--timeout", type=_timeout, default=DEFAULT_CAPS.timeout)
+        p.add_argument("--jobs", type=int, default=DEFAULT_CAPS.jobs,
+                       help="accepted for compatibility; searches run on one thread")
+    return p
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no
@@ -49,59 +68,46 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="itlc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_caps(p):
-        p.add_argument("--max-moments", type=int, default=DEFAULT_CAPS.max_moments)
-        p.add_argument("--max-valuations", type=int, default=DEFAULT_CAPS.max_valuations)
-        p.add_argument("--max-systems", type=int, default=DEFAULT_CAPS.max_systems)
-        p.add_argument("--timeout", type=_timeout, default=DEFAULT_CAPS.timeout)
-        p.add_argument("--jobs", type=int, default=DEFAULT_CAPS.jobs,
-                       help="accepted for compatibility; searches run on one thread")
-
-    def add_format(p, choices=("text", "json", "dot")):
-        p.add_argument("--format", choices=choices, default="text")
-
-    p = sub.add_parser("decide", help="decide validity over dynamical systems")
+    p = _command(sub, "decide", _cmd_decide, "decide validity over dynamical systems",
+                 ("text", "json", "dot"), ("max_moments",))
     p.add_argument("formula")
     p.add_argument("--out", help="write the certificate JSON here")
-    add_format(p)
-    add_caps(p)
 
-    p = sub.add_parser("check", help="evaluate a formula on a system file")
+    p = _command(sub, "check", _cmd_check, "evaluate a formula on a system file",
+                 ("text", "json"))
     p.add_argument("system")
     p.add_argument("formula")
-    add_format(p, ("text", "json"))
 
-    p = sub.add_parser("valid", help="check a formula under every open valuation")
+    p = _command(sub, "valid", _cmd_valid, "check a formula under every open valuation",
+                 caps=("max_valuations",))
     p.add_argument("system")
     p.add_argument("formula")
-    add_caps(p)
 
-    p = sub.add_parser("countermodel", help="search small systems falsifying a formula")
+    p = _command(sub, "countermodel", _cmd_countermodel,
+                 "search small systems falsifying a formula", ("text", "json"),
+                 ("max_valuations", "max_systems"))
     p.add_argument("formula")
     p.add_argument("--max-points", type=_count, default=3)
-    add_format(p, ("text", "json"))
-    add_caps(p)
 
-    p = sub.add_parser("analyze", help="minimality, recurrence, connectedness")
+    p = _command(sub, "analyze", _cmd_analyze, "minimality, recurrence, connectedness",
+                 ("text", "json"))
     p.add_argument("system")
-    add_format(p, ("text", "json"))
 
-    p = sub.add_parser("extract", help="project a system file onto its quasimodel")
+    p = _command(sub, "extract", _cmd_extract, "project a system file onto its quasimodel",
+                 ("json", "dot"), ("max_moments",))
     p.add_argument("system")
     p.add_argument("formula")
     p.add_argument("--out")
-    add_format(p, ("text", "json", "dot"))
-    add_caps(p)
 
-    p = sub.add_parser("verify", help="verify a falsification certificate")
+    p = _command(sub, "verify", _cmd_verify, "verify a falsification certificate")
     p.add_argument("certificate")
     p.add_argument("formula")
 
-    p = sub.add_parser("enumerate", help="irreducible moment statistics")
+    p = _command(sub, "enumerate", _cmd_enumerate, "irreducible moment statistics",
+                 caps=("max_moments",))
     p.add_argument("--sigma", required=True, metavar="FORMULA")
-    add_caps(p)
 
-    p = sub.add_parser("random-system", help="emit a seeded random system")
+    p = _command(sub, "random-system", _cmd_random_system, "emit a seeded random system")
     p.add_argument("points", type=_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -109,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _caps(args) -> Caps:
-    return Caps(max_moments=args.max_moments, max_valuations=args.max_valuations,
-                max_systems=args.max_systems, timeout=args.timeout, jobs=args.jobs)
+    """The caps of a command line, from the cap flags its command takes."""
+    return Caps(**{f.name: getattr(args, f.name) for f in fields(Caps) if hasattr(args, f.name)})
 
 
 def _emit(text: str) -> None:
@@ -229,9 +235,7 @@ def _cmd_extract(args) -> int:
     payload = q.to_json_dict()
     payload["falsified"] = [format_formula(f) for f in quasimodel.falsified_members(q)]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(args.out, payload)
     if args.format == "dot":
         _emit(_quasimodel_dot(q))
     else:
@@ -263,24 +267,9 @@ def _cmd_random_system(args) -> int:
     X = alexandroff.random_system(args.points, args.seed)
     payload = alexandroff.system_to_json(X, {})
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(args.out, payload)
     _emit(json.dumps(payload, indent=2))
     return EXIT_OK
-
-
-_HANDLERS = {
-    "decide": _cmd_decide,
-    "check": _cmd_check,
-    "valid": _cmd_valid,
-    "countermodel": _cmd_countermodel,
-    "analyze": _cmd_analyze,
-    "extract": _cmd_extract,
-    "verify": _cmd_verify,
-    "enumerate": _cmd_enumerate,
-    "random-system": _cmd_random_system,
-}
 
 
 def run(argv) -> int:
@@ -291,7 +280,7 @@ def run(argv) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ParseError, SchemaError, FragmentError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

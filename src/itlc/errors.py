@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the one reader of
-JSON files, which reports a file that is no JSON document as SchemaError."""
+"""Exception hierarchy shared across the package, and the one reader and
+writer of JSON files; the reader reports a file that is no JSON document
+as SchemaError."""
 
 import json
 
@@ -47,3 +48,9 @@ def read_json(path):
             return json.load(fh)
         except (ValueError, RecursionError) as err:
             raise SchemaError(f"{path}: not a JSON document ({err})") from None
+
+
+def write_json(path, data) -> None:
+    """Write data as JSON indented by two spaces, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=2) + "\n")

@@ -28,9 +28,9 @@ from typing import NamedTuple
 
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
-                     ItlcError, SchemaError, read_json)
-from .formula import (Forall, Formula, Henceforth, eliminate_exists,
-                      format_formula, parse)
+                     ItlcError, SchemaError, read_json, write_json)
+from .formula import (Bottom, Forall, Formula, Henceforth, children, eliminate_exists,
+                      format_formula, parse, subformulas)
 from .labels import (SigmaContext, profile_compatible, profile_masks, reach_back,
                      subformula_closure, viable_types)
 from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _successor, below,
@@ -482,18 +482,36 @@ def _decode(cert, target: Formula,
         return Check(False, f"malformed certificate: {err}")
 
 
+def _least_lengths(formulas) -> dict[Formula, int]:
+    """A lower bound on the printed length of each formula, listed after its
+    operands: the nodes of its unfolded tree other than '#', since every
+    other node prints at least one character and a -> # prints as ~a.  It
+    takes linear time, where printing a '<->' chain takes time and space
+    exponential in its depth."""
+    least: dict[Formula, int] = {}
+    for f in formulas:
+        least[f] = (type(f) is not Bottom) + sum(least[c] for c in children(f))
+    return least
+
+
 def _verify(data: dict, target: Formula,
             deadline: Deadline = NO_DEADLINE) -> Check | Certificate:
-    # a text equal to the one printed here needs no parse: parse(format_formula(f)) == f
-    if data["target"] != format_formula(target) and parse(data["target"]) != target:
+    # a text equal to the one printed here needs no parse: parse(format_formula(f)) == f;
+    # texts shorter than the least printed lengths are parsed without printing
+    text = data["target"]
+    if not (len(text) >= _least_lengths(subformulas(target))[target]
+            and text == format_formula(target)) and parse(text) != target:
         return Check(False, "target mismatch")
     try:
         reduced, sigma = fragment_context(target)
     except FragmentError:
         return Check(False, "target outside the decidable fragment")
     listed = list(data["sigma"])
-    if len(listed) != len(sigma) or not all(
-            s == text or parse(s) == f for s, text, f in zip(listed, sigma.texts, sigma.formulas)):
+    if len(listed) != len(sigma):
+        return Check(False, "sigma does not match the target's subformula closure")
+    printable = sum(map(len, listed)) >= sum(_least_lengths(sigma.formulas).values())
+    texts = sigma.texts if printable else (None,) * len(sigma)
+    if not all(s == t or parse(s) == f for s, t, f in zip(listed, texts, sigma.formulas)):
         return Check(False, "sigma does not match the target's subformula closure")
 
     profile = 0
@@ -561,9 +579,7 @@ def _verify(data: dict, target: Formula,
 
 def save_certificate(cert: Certificate, path) -> None:
     """Write the canonical JSON form; bit-exact across runs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cert.to_json_text())
-        fh.write("\n")
+    write_json(path, cert.to_json_dict())
 
 
 def load_certificate(path, target: Formula) -> Certificate:

@@ -65,6 +65,40 @@ def test_countermodel_honours_max_valuations(capsys):
     assert "valuations exceed the cap" in capsys.readouterr().err
 
 
+_COMMAND_LINES = {
+    "decide": ["decide", "X p -> p"],
+    "extract": ["extract", FIXTURE, "(X p -> X q) -> X(p -> q)"],
+    "enumerate": ["enumerate", "--sigma", "<>p"],
+    "valid": ["valid", FIXTURE, "p & q -> p"],
+    "countermodel": ["countermodel", "p & q & r -> p"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[(c, f) for c in ("decide", "extract", "enumerate")
+      for f in ("--max-valuations", "--max-systems")],
+    ("valid", "--max-moments"), ("valid", "--max-systems"), ("countermodel", "--max-moments"),
+])
+def test_cap_flags_a_command_ignores_are_usage_errors(command, flag, capsys):
+    assert run([*_COMMAND_LINES[command], flag, "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
+@pytest.mark.parametrize("command, flag, value, uncapped", [
+    ("decide", "--max-moments", "1", 1),
+    ("extract", "--max-moments", "1", 1),
+    ("enumerate", "--max-moments", "2", 0),
+    ("valid", "--max-valuations", "1", 0),
+    ("countermodel", "--max-valuations", "3", 0),
+    ("countermodel", "--max-systems", "5", 0),
+])
+def test_each_cap_flag_a_command_takes_changes_its_outcome(command, flag, value, uncapped,
+                                                             capsys):
+    assert run(_COMMAND_LINES[command]) == uncapped
+    assert run([*_COMMAND_LINES[command], flag, value]) == 3
+
+
 def test_analyze_subcommand(capsys):
     assert run(["analyze", FIXTURE, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -76,6 +110,16 @@ def test_extract_subcommand(capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert "(Xp -> Xq) -> X(p -> q)" in payload["falsified"]
+
+
+def test_extract_prints_json_unless_asked_for_dot(capsys):
+    argv = _COMMAND_LINES["extract"]
+    assert run([*argv, "--format", "text"]) == 2
+    assert "--format" in capsys.readouterr().err
+    assert run(argv) == 1
+    default = capsys.readouterr().out
+    assert run([*argv, "--format", "json"]) == 1
+    assert capsys.readouterr().out == default
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -372,16 +372,19 @@ def test_successor_fixpoint_matches_brute_force(text):
     # the implication context has many more types, so smaller moments
     universe = all_moments_upto(sigma, 3 if "->" in text else 4)
     assert universe
-    relation_checked = 0
-    for v in universe:
-        for w in universe:
-            got = temporal_successor(v, w)
-            assert got == successor_oracle(v, w), (v, w)
-            literal = relation_oracle(v, w, limit=2**12)
-            if literal is not None:
-                assert got == literal, (v, w)
-                relation_checked += 1
-    assert relation_checked > 0
+    pairs = [(v, w) for v in universe for w in universe]
+    for v, w in pairs:
+        assert temporal_successor(v, w) == successor_oracle(v, w), (v, w)
+    # the literal oracle searches up to 2^12 relations per pair: a seeded
+    # sample keeps the cross-check at a tenth of the time on the 30,625
+    # pairs of the largest universe
+    literal_results = set()
+    for v, w in random.Random(7).sample(pairs, min(len(pairs), 2000)):
+        literal = relation_oracle(v, w, limit=2**12)
+        if literal is not None:
+            assert temporal_successor(v, w) == literal, (v, w)
+            literal_results.add(literal)
+    assert literal_results == {True, False}
 
 
 # the universes of the test above, one whose root patterns (M, V) take two

@@ -1,6 +1,7 @@
 import copy
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -398,6 +399,28 @@ def test_canonical_sigma_past_the_parse_bound_verifies():
     assert verify_certificate(data, f)
     data["sigma"][-1] = f"({data['sigma'][-1]})"
     assert verify_certificate(data, f).reason.startswith("malformed certificate: ")
+
+
+@pytest.mark.parametrize("levels", [22, 40])
+def test_verify_refuses_a_tiny_certificate_without_printing_it(levels):
+    # the canonical text of a '<->' chain doubles per level: refusing the
+    # 22-level one took 376 MB, and the 40-level one did not finish
+    chain = "p"
+    for _ in range(levels):
+        chain = f"(q <-> {chain})"
+    target = parse(chain)
+    count = len(fragment_context(target)[1])
+    for sigma in ([], ["q"] * count):
+        tracemalloc.start()
+        try:
+            start = time.monotonic()
+            outcome = verify_certificate({"target": chain, "sigma": sigma}, target)
+            elapsed = time.monotonic() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.reason == "sigma does not match the target's subformula closure"
+        assert peak < 50e6 and elapsed < 1
 
 
 def test_verify_honours_an_expired_deadline(flagship):
