@@ -10,8 +10,8 @@ so the two can check each other.
 
 Element sets are integer bitmasks internally; the public API speaks in
 element names.  Each evaluate, validity or countermodel call compiles its
-formula once into an instruction list and runs it per valuation, with
-lookup tables built per system for that call.
+formula once into instructions read off `formula.operand_table` and runs
+them per valuation, with lookup tables built per system for that call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import CapExceeded, SchemaError, read_json, write_json
 from .formula import (And, Atom, Bottom, Eventually, Exists, Forall, Formula,
-                      Henceforth, Implies, Next, Or, children, subformulas)
+                      Henceforth, Implies, Next, Or, operand_table, subformulas)
 
 
 _NOTHING: frozenset[str] = frozenset()
@@ -257,39 +257,29 @@ class _Tables:
         self.henceforth = _Memo(greatest)
 
 
-# Opcodes of compiled formulas, one per node type.
-_BOT, _ATOM, _AND, _OR, _IMPLIES, _NEXT, _EVENTUALLY, _HENCEFORTH, _FORALL, _EXISTS = range(10)
-_OPCODES = {Bottom: _BOT, Atom: _ATOM, And: _AND, Or: _OR, Implies: _IMPLIES,
-            Next: _NEXT, Eventually: _EVENTUALLY, Henceforth: _HENCEFORTH,
-            Forall: _FORALL, Exists: _EXISTS}
+#: The node types _evaluate_mask knows; _compile refuses any other.
+_NODE_TYPES = {Bottom, Atom, And, Or, Implies, Next, Eventually, Henceforth, Forall, Exists}
 
-_Program = tuple[tuple[int, int, object, int], ...]
+_Program = tuple[tuple[int, type, object, object], ...]
 
 
 def _compile(f: Formula) -> _Program:
     """Post-order instruction list over the distinct subformulas of f.
 
-    Instruction i is (i, opcode, a, b) and writes the truth mask of the
-    i-th distinct subformula to register i; a and b are the registers of
-    its operands, or a is the atom's name.  The last one computes f.
+    Instruction i, (i, node type, a, b), is row i of `operand_table` with
+    the atom's name in a: it writes subformula i's truth mask to register i
+    from its operands' registers a and b.  The last one computes f.
     """
     subs = subformulas(f)
-    slot = {g: i for i, g in enumerate(subs)}
-    code = []
-    for i, g in enumerate(subs):
-        op = _OPCODES.get(type(g))
-        if op is None:
-            raise TypeError(f"unknown formula node {g!r}")
-        if op == _ATOM:
-            code.append((i, op, g.name, 0))
-        else:
-            a, b, *_ = [slot[c] for c in children(g)] + [0, 0]
-            code.append((i, op, a, b))
-    return tuple(code)
+    table = operand_table(subs, {g: i for i, g in enumerate(subs)})
+    if unknown := {op for op, _, _ in table} - _NODE_TYPES:
+        raise TypeError(f"unknown formula node {next(g for g in subs if type(g) in unknown)!r}")
+    return tuple([(i, op, g.name if op is Atom else a, b)
+                  for i, (g, (op, a, b)) in enumerate(zip(subs, table))])
 
 
 def _atoms(program: _Program) -> list[str]:
-    return sorted({a for _, op, a, _ in program if op == _ATOM})
+    return sorted({a for _, op, a, _ in program if op is Atom})
 
 
 def _evaluate_mask(tables: _Tables, valuation: dict[str, int], program: _Program,
@@ -298,24 +288,24 @@ def _evaluate_mask(tables: _Tables, valuation: dict[str, int], program: _Program
     one valuation of its atoms to open masks; cache is the register file,
     fresh for each call."""
     full = tables.full
-    for i, op, a, b in program:  # most frequent opcodes first
-        if op == _IMPLIES:
+    for i, op, a, b in program:  # most frequent node types first
+        if op is Implies:
             out = tables.interior[(full & ~cache[a]) | cache[b]]
-        elif op == _ATOM:
+        elif op is Atom:
             out = valuation[a]
-        elif op == _AND:
+        elif op is And:
             out = cache[a] & cache[b]
-        elif op == _OR:
+        elif op is Or:
             out = cache[a] | cache[b]
-        elif op == _NEXT:
+        elif op is Next:
             out = tables.preimage[cache[a]]
-        elif op == _EVENTUALLY:
+        elif op is Eventually:
             out = tables.eventually[cache[a]]
-        elif op == _HENCEFORTH:
+        elif op is Henceforth:
             out = tables.henceforth[cache[a]]
-        elif op == _FORALL:
+        elif op is Forall:
             out = full if cache[a] == full else 0
-        elif op == _EXISTS:
+        elif op is Exists:
             out = full if cache[a] else 0
         else:  # bottom
             out = 0

@@ -38,9 +38,16 @@ def _count(text: str) -> int:
     return value
 
 
-def _timeout(text: str) -> float:
-    """A command-line timeout in seconds, which Caps refuses when NaN."""
-    return Caps(timeout=float(text)).timeout
+def _cap(name: str, convert=int):
+    """The argparse type of the Caps field name: a value Caps refuses is a usage error."""
+    def read(text: str):
+        value = convert(text)
+        try:
+            return getattr(Caps(**{name: value}), name)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+    read.__name__ = convert.__name__  # argparse names it when convert fails
+    return read
 
 
 def _command(sub, name: str, handler, help: str, formats=(), caps=()):
@@ -53,10 +60,10 @@ def _command(sub, name: str, handler, help: str, formats=(), caps=()):
         p.add_argument("--format", choices=formats, default=formats[0])
     if caps:
         for cap in caps:
-            p.add_argument("--" + cap.replace("_", "-"), type=int,
+            p.add_argument("--" + cap.replace("_", "-"), type=_cap(cap),
                            default=getattr(DEFAULT_CAPS, cap))
-        p.add_argument("--timeout", type=_timeout, default=DEFAULT_CAPS.timeout)
-        p.add_argument("--jobs", type=int, default=DEFAULT_CAPS.jobs,
+        p.add_argument("--timeout", type=_cap("timeout", float), default=DEFAULT_CAPS.timeout)
+        p.add_argument("--jobs", type=_cap("jobs"), default=DEFAULT_CAPS.jobs,
                        help="accepted for compatibility; searches run on one thread")
     return p
 

@@ -14,7 +14,7 @@ from .errors import CapExceeded
 
 @dataclass(frozen=True)
 class Caps:
-    """Limits for enumeration and search.
+    """Limits for enumeration and search; a count below 1 raises ValueError.
 
     max_moments     accepted irreducible moments before enumeration is cut off;
                     generation also stops after examining 4x as many candidates
@@ -39,6 +39,9 @@ class Caps:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("max_moments", "max_valuations", "max_systems", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.timeout != self.timeout:
             raise ValueError("timeout must be a number of seconds, not NaN")
 

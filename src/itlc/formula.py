@@ -330,10 +330,10 @@ _SHAPES = {**{t: (s, "", _UNARY_LVL, (_UNARY_LVL,)) for s, t in [*_SYMBOLS.items
 
 
 def format_texts(formulas, ops) -> tuple[str, ...]:
-    """The texts of formulas listed after their operands; ops[k] is formulas[k]'s
-    type and operand positions, padded with None.  These are the only printing
-    rules: each text is built once from its operands' texts and levels, in time
-    linear in the total text length, and cached on its node."""
+    """The texts of formulas listed after their operands; ops is their
+    `operand_table`.  These are the only printing rules: each text is built
+    once from its operands' texts and levels, in time linear in the total
+    text length, and cached on its node."""
     out: list[tuple[str, int]] = []  # (text, level)
     for f, (op, a, b) in zip(formulas, ops):
         if a is None:
@@ -350,10 +350,9 @@ def format_texts(formulas, ops) -> tuple[str, ...]:
 def format_formula(f: Formula) -> str:
     """Render with minimal parentheses; parse(format_formula(f)) == f.
     Printed by `format_texts` over f's subformulas, once per node."""
-    if not hasattr(f, "_text"):  # index lists the subformulas in post-order
-        index = {g: i for i, g in enumerate(subformulas(f))}
-        format_texts(index, [(type(g), *[index[c] for c in children(g)], None, None)[:3]
-                             for g in index])
+    if not hasattr(f, "_text"):
+        subs = subformulas(f)
+        format_texts(subs, operand_table(subs, {g: i for i, g in enumerate(subs)}))
     return f._text
 
 
@@ -375,6 +374,14 @@ def subformulas(f: Formula) -> tuple[Formula, ...]:
             for c in reversed(children(g)):
                 stack.append((c, False))
     return tuple(acc)
+
+
+def operand_table(formulas, index) -> tuple[tuple[type, int | None, int | None], ...]:
+    """(node type, first operand position, second operand position) of each formula,
+    read from index and padded with None; the context, printer and model checker read it."""
+    return tuple([(type(f), index[ops[0]], index[ops[1]]) if len(ops) == 2 else
+                  (type(f), index[ops[0]] if ops else None, None)
+                  for f in formulas for ops in [children(f)]])
 
 
 def eliminate_exists(f: Formula) -> Formula:

@@ -16,7 +16,7 @@ from functools import cached_property
 from .config import NO_DEADLINE, Deadline
 from .errors import SigmaMismatchError
 from .formula import (And, Bottom, Eventually, Forall, Formula, Implies,
-                      Next, Or, children, format_texts, subformulas)
+                      Next, Or, children, format_texts, operand_table, subformulas)
 
 
 _MASK_BLOCK = 4096
@@ -41,18 +41,12 @@ class SigmaContext:
                     raise ValueError(f"context not subformula-closed in post-order: "
                                      f"{g} must precede {f}")
 
-        # (node type, first operand, second operand) per formula, with None
-        # for an operand the node lacks; read by _bits and format_texts
-        self._ops = tuple((type(f), *[self.index[g] for g in children(f)], None, None)[:3]
-                          for f in formulas)
-        self.impl_triples = tuple((self.index[f], self.index[f.left], self.index[f.right])
-                                  for f in formulas if isinstance(f, Implies))
-        self.next_pairs = tuple((self.index[f], self.index[f.body])
-                                for f in formulas if isinstance(f, Next))
-        self.ev_pairs = tuple((self.index[f], self.index[f.body])
-                              for f in formulas if isinstance(f, Eventually))
-        self.forall_pairs = tuple((self.index[f], self.index[f.body])
-                                  for f in formulas if isinstance(f, Forall))
+        self._ops = operand_table(formulas, self.index)
+        self.impl_triples = tuple((i, a, b) for i, (op, a, b) in enumerate(self._ops)
+                                  if op is Implies)
+        self.next_pairs, self.ev_pairs, self.forall_pairs = (
+            tuple((i, a) for i, (op, a, _) in enumerate(self._ops) if op is node)
+            for node in (Next, Eventually, Forall))
         # distinct formulas have distinct indices and, per modality,
         # distinct bodies, so these sums are unions
         self.forall_mask = sum(1 << i for i, _ in self.forall_pairs)

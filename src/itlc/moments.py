@@ -75,10 +75,8 @@ class Moment:
         return self._subtrees
 
     def node_labels(self) -> frozenset[int]:
-        out = {self.label}
-        for c in self.children:
-            out |= c.node_labels()
-        return frozenset(out)
+        """The labels of all submoments, read off the cached `subtrees`."""
+        return frozenset(m.label for m in self.subtrees())
 
     def to_json(self) -> dict:
         return {"label": [i for i in range(len(self.sigma)) if self.label >> i & 1],

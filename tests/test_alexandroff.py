@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
@@ -15,7 +16,7 @@ from itlc.alexandroff import (Analysis, FinitePoset, FiniteSystem, _posets, anal
                               monotone_maps, open_masks, random_system, system,
                               system_from_json, system_to_json)
 from itlc.config import Deadline
-from itlc.formula import parse
+from itlc.formula import And, Formula, parse
 
 from oracles import (brute_monotone_maps, brute_open_masks, brute_posets,
                      reference_countermodel, truth_oracle)
@@ -125,6 +126,22 @@ def test_missing_atom_reported():
     X = system(["a"], [], {"a": "a"})
     with pytest.raises(KeyError):
         evaluate(X, {}, parse("p"))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _Unknown(Formula):
+    """A node type the model checker has no rule for."""
+    body: Formula
+
+
+def test_evaluate_refuses_an_unknown_node_type():
+    X = system(["a"], [], {"a": "a"})
+    p = parse("p")
+    for f in (_Unknown(p), And(p, _Unknown(p))):
+        with pytest.raises(TypeError, match=r"^unknown formula node _Unknown\("):
+            evaluate(X, {"p": {"a"}}, f)
+        with pytest.raises(TypeError, match="unknown formula node"):
+            is_valid_on_system(X, f)
 
 
 def test_evaluate_matches_pointwise_oracle():

@@ -176,6 +176,15 @@ def test_random_system_deterministic_bytes(capsys):
     ["random-system", "-3"],
     ["countermodel", "X p -> p", "--max-points", "0"],
     ["countermodel", "X p -> p", "--max-points", "-1"],
+    # cap flags parse through Caps, which refuses a count below 1
+    ["countermodel", "p -> p", "--max-systems", "-1"],
+    ["countermodel", "p -> p", "--max-valuations", "0"],
+    ["decide", "p -> p", "--max-moments", "-5"],
+    ["extract", FIXTURE, "p", "--max-moments", "0"],
+    ["enumerate", "--sigma", "p", "--max-moments", "0"],
+    ["valid", FIXTURE, "p", "--max-valuations", "0"],
+    ["decide", "p -> p", "--jobs", "-3"],
+    ["countermodel", "p -> p", "--jobs", "0"],
 ])
 def test_counts_below_one_are_usage_errors(argv, capsys):
     assert run(argv) == 2

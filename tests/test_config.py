@@ -28,3 +28,11 @@ def test_a_nan_timeout_is_refused():
         itlc.Caps(timeout=float("nan"))
     with pytest.raises(ValueError, match="NaN"):
         Deadline(float("nan"))
+
+
+@pytest.mark.parametrize("field", ["max_moments", "max_valuations", "max_systems", "jobs"])
+def test_counts_below_one_are_refused(field):
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
+            itlc.Caps(**{field: value})
+    assert getattr(itlc.Caps(**{field: 1}), field) == 1

@@ -142,8 +142,9 @@ def _node_labels_in_preorder(m):
 def test_distinct_node_labels_imply_irreducible(text):
     # generation accepts such candidates without the collapse search
     sigma = subformula_closure(parse(text))
-    distinct = [m for m in all_moments_upto(sigma, 4)
-                if len(set(_node_labels_in_preorder(m))) == m.size]
+    moments = all_moments_upto(sigma, 4)
+    assert all(m.node_labels() == set(_node_labels_in_preorder(m)) for m in moments)
+    distinct = [m for m in moments if len(set(_node_labels_in_preorder(m))) == m.size]
     assert any(m.size >= 3 for m in distinct)
     for m in distinct:
         assert is_irreducible(m), m
