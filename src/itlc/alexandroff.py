@@ -390,40 +390,32 @@ def _posets(n: int, deadline: Deadline = NO_DEADLINE):
     i != j, meaning i below j: the up-sets of 0, 1, ... are chosen in
     turn, and a branch is kept only while they are antisymmetric and
     transitive among themselves (b above a needs up(b) within up(a)).
-    The walk keeps its branch on an explicit stack and checks the
-    deadline at every step (once per up-set chosen)."""
+    The walk recurses once per element, n deep, and checks the deadline
+    once per up-set chosen."""
     names = tuple(_element_names(n))
     # the possible up-sets of each element, ordered by their bits for j = 0, 1, ...
     choices = [sorted((m for m in range(1 << n) if not m >> i & 1),
                       key=lambda m: [m >> j & 1 for j in range(n)]) for i in range(n)]
     up = [0] * n
-    tried = [0]  # tried[i]: the choices of element i used up on this branch
-    deadline.check("poset enumeration")
-    while tried:
-        i = len(tried) - 1
+
+    def place(i: int):
         if i == n:
-            tried.pop()
             yield _trusted(FinitePoset, names,
                            tuple(1 << j | below for j, below in enumerate(_converse(up))))
-            continue
-        options = choices[i]
+            return
         # up(i) lies within up(a) for each a below i, and holds up(a) for each a above i
         within = ~0
         for a in range(i):
             if up[a] >> i & 1:
                 within &= up[a]
-        for k in range(tried[i], len(options)):
-            mask = options[k]
+        for mask in choices[i]:
             if not mask & ~within and all(not (mask >> a & 1 and up[a] & ~mask)
                                           for a in range(i)):
-                break
-        else:
-            tried.pop()
-            continue
-        tried[i] = k + 1
-        up[i] = mask
-        tried.append(0)
-        deadline.check("poset enumeration")
+                up[i] = mask
+                deadline.check("poset enumeration")
+                yield from place(i + 1)
+
+    return place(0)
 
 
 def monotone_maps(poset: FinitePoset):
@@ -432,33 +424,30 @@ def monotone_maps(poset: FinitePoset):
     The images of elements 0, 1, ... are chosen in turn, each in
     ascending order, and an image is kept only if it is comparable as
     required with the images of the elements already placed: above the
-    images of the elements below, below the images of those above.  The
-    branch is kept on an explicit stack."""
+    images of the elements below, below the images of those above."""
     n = len(poset)
     down = poset.down
     up = _converse(down)
     lower = [[a for a in range(i) if down[i] >> a & 1] for i in range(n)]
     upper = [[a for a in range(i) if down[a] >> i & 1] for i in range(n)]
     f = [0] * n
-    tried = [0]  # tried[i]: the images of element i used up on this branch
-    while tried:
-        i = len(tried) - 1
+
+    def place(i: int):
         if i == n:
-            tried.pop()
             yield tuple(f)
-            continue
+            return
         allowed = (1 << n) - 1
         for a in lower[i]:
             allowed &= up[f[a]]
         for a in upper[i]:
             allowed &= down[f[a]]
-        allowed >>= tried[i]
-        if not allowed:
-            tried.pop()
-            continue
-        f[i] = tried[i] + (allowed & -allowed).bit_length() - 1
-        tried[i] = f[i] + 1
-        tried.append(0)
+        while allowed:
+            low = allowed & -allowed
+            f[i] = low.bit_length() - 1
+            yield from place(i + 1)
+            allowed ^= low
+
+    return place(0)
 
 
 def enumerate_systems(n: int) -> list[FiniteSystem]:

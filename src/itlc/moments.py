@@ -270,6 +270,7 @@ class MomentStore:
     sigma: SigmaContext
     moments: tuple[Moment, ...]
     complete: bool
+    # heights 1 up to the layers begun, each with its moments in key order
     by_height: dict[int, tuple[Moment, ...]] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -292,22 +293,25 @@ def _distinct_labels(kids: tuple[Moment, ...]) -> bool:
 
 
 class _Generation:
-    """Bottom-up layered generation of irreducible moments.
+    """Bottom-up layered generation of irreducible moments, by height.
 
-    Height-one moments are the defect-free types.  A taller candidate is
-    a root type grafted below a set of pairwise distinct, already
-    generated irreducibles whose root labels strictly extend it, with at
-    least one child of the previous height.  Such a candidate is
-    irreducible exactly when no child folds into a sibling's submoments
-    (see reduce), so it is rejected then; a candidate whose node labels
-    are pairwise distinct admits no fold at all, which covers every
-    height-two candidate and skips the test.  One grow() call produces one
-    non-empty layer, so a caller may interleave generation with its own
-    searches and stop early; `capped` records whether a resource limit
-    cut the space off before it was exhausted.  Labels grow strictly along
-    branches, so no moment is taller than the context size plus one.
-    Subclasses order the layers differently by overriding _next_layer and
-    _exhausted.
+    One engine serves both orders.  A layer grafts each root type below
+    each set of pairwise distinct, already generated irreducibles with
+    strictly larger root labels that _child_sets draws from the root's
+    groups (see _groups); on layer one that set is empty, so the layer
+    holds the defect-free types.  Such a candidate is irreducible exactly
+    when no child folds into a sibling's submoments (see reduce), so it
+    is rejected then; one whose node labels are pairwise distinct admits
+    no fold and skips the test.  The orders differ only in _child_sets
+    and _exhausted.  Here layer h holds the moments of height h, each
+    with a child from layer h - 1; labels grow strictly along branches,
+    so generation stops past the context size or at an empty layer.
+
+    `layer` counts the layers begun and `height` is the height of the
+    tallest moment generated, in either order.  One grow() call produces
+    one non-empty layer, so a caller may interleave generation with its
+    own searches and stop early; `capped` records whether a resource
+    limit cut the space off before it was exhausted.
 
     allowed_labels, a collection of types, are the node labels; None means
     every type, whose enumeration raises CapExceeded if the deadline passes
@@ -326,9 +330,13 @@ class _Generation:
         self.count = 0
         self.capped = False
         self.exhausted = False
+        self.layer = 0
         self.height = 0
         self.accepted: list[Moment] = []
-        self.by_height: dict[int, list[Moment]] = {}
+        self.layers: list[list[Moment]] = []
+        # per root type: its groups (see _groups) and the layers filed so far
+        self.above: dict[int, list[tuple[int, list[Moment]]]] = {t: [] for t in self.types}
+        self.filed = dict.fromkeys(self.types, 0)
 
     def _spend(self) -> None:
         self.examined += 1
@@ -353,39 +361,50 @@ class _Generation:
             self.capped = True
             return []
 
-    def _exhausted(self, fresh: list[Moment]) -> bool:
-        return not fresh or self.height > len(self.sigma)
-
     def _next_layer(self) -> list[Moment]:
-        self.height += 1
-        self.by_height[self.height] = []    # what a tripped cap leaves of it
-        if self.height == 1:
-            fresh = self._singles()
-        else:
-            fresh = []
-            newest = self.by_height[self.height - 1]
-            older = [m for h in range(1, self.height - 1) for m in self.by_height[h]]
-            for root in self.types:
-                elig_new = [m for m in newest if root & m.label == root and m.label != root]
-                elig_old = [m for m in older if root & m.label == root and m.label != root]
-                defect_ids = self.sigma.defect_indices(root)
-                for k_new in range(1, len(elig_new) + 1):
-                    for new_part in itertools.combinations(elig_new, k_new):
-                        for k_old in range(len(elig_old) + 1):
-                            for old_part in itertools.combinations(elig_old, k_old):
-                                self._admit(root, defect_ids, new_part + old_part, fresh)
-        self.by_height[self.height] = fresh
+        self.layer += 1
+        self.deadline.check("moment generation")
+        fresh: list[Moment] = []
+        for root in self.types:
+            defect_ids = self.sigma.defect_indices(root)
+            for kids in self._child_sets(self._groups(root)):
+                self._admit(root, defect_ids, kids, fresh)
+        self.layers.append(fresh)
+        self.height = max([self.height] + [m.height for m in fresh])
         return fresh
 
-    def _singles(self) -> list[Moment]:
-        """The one-node moments: the defect-free types."""
-        singles = []
-        for t in self.types:
-            self._spend()
-            if not self.sigma.defect_indices(t):
-                singles.append(moment(self.sigma, t))
-                self.count += 1
-        return singles
+    def _groups(self, root: int) -> list[tuple[int, list[Moment]]]:
+        """(layer, its moments above the root) for each generated layer
+        with some, in layer order.  Each layer is filed once per root, on
+        the root's first look after it, so no layer rescans earlier ones,
+        and a cap that cuts a layer short spares the roots it missed."""
+        groups = self.above[root]
+        for layer in range(self.filed[root], len(self.layers)):
+            self.deadline.check("moment generation")
+            members = [m for m in self.layers[layer] if root & m.label == root and m.label != root]
+            if members:
+                groups.append((layer + 1, members))
+        self.filed[root] = len(self.layers)
+        return groups
+
+    def _child_sets(self, groups: list[tuple[int, list[Moment]]]):
+        """The empty set on layer one; later, a nonempty subset of the
+        previous layer's group followed by any subset of the older groups,
+        each by increasing size."""
+        if self.layer == 1:
+            yield ()
+        if not groups or groups[-1][0] != self.layer - 1:
+            return
+        newest = groups[-1][1]
+        older = [m for _, members in groups[:-1] for m in members]
+        for k_new in range(1, len(newest) + 1):
+            for new_part in itertools.combinations(newest, k_new):
+                for k_old in range(len(older) + 1):
+                    for old_part in itertools.combinations(older, k_old):
+                        yield new_part + old_part
+
+    def _exhausted(self, fresh: list[Moment]) -> bool:
+        return not fresh or self.layer > len(self.sigma)
 
     def _admit(self, root: int, defect_ids, kids: tuple[Moment, ...],
                fresh: list[Moment]) -> None:
@@ -404,18 +423,20 @@ class _Generation:
         return tuple(sorted(set(self.accepted), key=lambda m: m.key))
 
     def store(self) -> MomentStore:
+        moments = self.snapshot()
         return MomentStore(
             sigma=self.sigma,
-            moments=self.snapshot(),
+            moments=moments,
             complete=not self.capped,
-            by_height={h: tuple(sorted(ms, key=lambda m: m.key))
-                       for h, ms in self.by_height.items()},
+            by_height={h: tuple(m for m in moments if m.height == h)
+                       for h in range(1, self.layer + 1)},
         )
 
 
 class _SizeGeneration(_Generation):
-    """The same generation ordered by node count: layer s holds the
-    irreducible moments with s nodes.
+    """The same engine ordered by node count: layer s holds the
+    irreducible moments with s nodes, so a root's groups hold its
+    moments of each size.
 
     A size-s candidate is a root type over a set of distinct generated
     irreducibles with strictly larger labels whose sizes add up to s - 1.
@@ -425,40 +446,18 @@ class _SizeGeneration(_Generation):
     exhaustion, both orders examine the same candidates and accept the
     same moments.  A layer may be empty while a later one is not, so
     generation is exhausted only once no root has generated moments above
-    it totalling the next layer's child size.  `height` is the height of
-    the tallest moment generated.
+    it totalling the next layer's child size.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.size = 0
-        # per root type: the generated moments above it, grouped by size in
-        # increasing order
-        self.above: dict[int, list[tuple[int, list[Moment]]]] = {t: [] for t in self.types}
+    def _child_sets(self, groups: list[tuple[int, list[Moment]]]):
+        return _sets_of_size(groups, self.layer - 1)
 
     def _exhausted(self, fresh: list[Moment]) -> bool:
-        # the next layer's children must add up to self.size nodes
-        return all(sum(size * len(members) for size, members in groups) < self.size
-                   for groups in self.above.values())
-
-    def _next_layer(self) -> list[Moment]:
-        self.size += 1
-        self.deadline.check("moment generation")
-        if self.size == 1:
-            fresh = self._singles()
-        else:
-            fresh = []
-            for root in self.types:
-                defect_ids = self.sigma.defect_indices(root)
-                for kids in _sets_of_size(self.above[root], self.size - 1):
-                    self._admit(root, defect_ids, kids, fresh)
-        for root in self.types:
-            self.deadline.check("moment generation")
-            members = [m for m in fresh if root & m.label == root and m.label != root]
-            if members:
-                self.above[root].append((self.size, members))
-        self.height = max([self.height] + [m.height for m in fresh])
-        return fresh
+        # the next layer's children must add up to self.layer nodes; max,
+        # unlike all, files the layer under every root before the caller's
+        # search, checking the deadline per root as it goes
+        return max((sum(size * len(members) for size, members in self._groups(root))
+                    for root in self.types), default=0) < self.layer
 
 
 def _sets_of_size(groups: list[tuple[int, list[Moment]]], total: int):

@@ -315,8 +315,11 @@ def build_realizing_path(q: Quasimodel, start: int) -> Lasso:
     Pending eventualities are served round robin: step along a shortest
     path towards the oldest pending one, dropping whatever the current
     label realizes, and close the loop when a (world, pending) state
-    repeats.  States are finitely many, so this terminates.
+    repeats.  States are finitely many, so this terminates.  A start
+    outside the worlds raises ValueError.
     """
+    if not 0 <= start < len(q.worlds):
+        raise ValueError(f"no world {start}")
     sigma = q.sigma
     trail: list[int] = []
     visited: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -391,12 +394,16 @@ def _lasso_problem(q: Quasimodel, start: int, lasso: Lasso) -> str | None:
 def complete_path_below(q: Quasimodel, path: list[int], v0: int) -> list[int]:
     """Shadow a successor path from below: given a path and a world under
     its first element, return a path of the same length staying under it
-    pointwise, choosing the canonically least world at each step.
+    pointwise, choosing the canonically least world at each step.  A
+    world index outside the worlds, in the path or as v0, raises
+    ValueError.
     """
     if not path:
         raise ValueError("empty path")
+    if not all(0 <= w < len(q.worlds) for w in (v0, *path)):
+        raise ValueError("world index out of range")
     for a, b in zip(path, path[1:]):
-        if not 0 <= a < len(q.worlds) or b not in q.successors[a]:
+        if b not in q.successors[a]:
             raise ValueError(f"({a},{b}) is not an edge")
     if not below(q.worlds[v0], q.worlds[path[0]]):
         raise ValueError("start world is not below the path start")

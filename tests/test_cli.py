@@ -156,12 +156,28 @@ def test_one_process_answers_like_fresh_ones(tmp_path):
 
 def test_enumerate_subcommand(capsys):
     assert run(["enumerate", "--sigma", "<>p"]) == 0
-    out = capsys.readouterr().out
-    assert "complete" in out
+    assert capsys.readouterr().out == (
+        "context: 2 formulas, 3 types\n"
+        "height 1: 3 irreducible moments\n"
+        "height 2: 4 irreducible moments\n"
+        "height 3: 1 irreducible moments\n"
+        "total: 8 (complete)\n")
 
 
 def test_enumerate_incomplete_is_resource_limit(capsys):
+    # the layer a cap cuts short still gets its line, here the first and the third
     assert run(["enumerate", "--sigma", "<>p", "--max-moments", "2"]) == 3
+    assert capsys.readouterr().out == (
+        "context: 2 formulas, 3 types\n"
+        "height 1: 0 irreducible moments\n"
+        "total: 0 (INCOMPLETE)\n")
+    assert run(["enumerate", "--sigma", "(p -> q) | (q -> p)", "--max-moments", "2000"]) == 3
+    assert capsys.readouterr().out == (
+        "context: 5 formulas, 7 types\n"
+        "height 1: 4 irreducible moments\n"
+        "height 2: 15 irreducible moments\n"
+        "height 3: 0 irreducible moments\n"
+        "total: 19 (INCOMPLETE)\n")
 
 
 def test_random_system_deterministic_bytes(capsys):

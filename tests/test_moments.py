@@ -225,7 +225,7 @@ def test_generation_counts_through_the_fold_check(text, caps, expected):
     gen = _Generation(subformula_closure(parse(text)), caps)
     while gen.grow():
         pass
-    assert (gen.capped, gen.height, gen.examined, gen.count) == expected
+    assert (gen.capped, gen.layer, gen.examined, gen.count) == expected
 
 
 def test_enumerate_caps_flag_incomplete():
@@ -256,7 +256,7 @@ def test_capped_generation_counts():
     gen = _Generation(sigma, itlc.Caps())
     while gen.grow():
         pass
-    assert (gen.capped, gen.height, gen.examined, gen.count) == (True, 2, 90_052, 50_000)
+    assert (gen.capped, gen.layer, gen.examined, gen.count) == (True, 2, 90_052, 50_000)
 
 
 def test_enumerate_restricted_labels(flagship_sigma, worked_labels):
@@ -316,6 +316,7 @@ def test_size_order_runs_out_to_the_height_order_space(worked_labels):
         assert len(by_size.accepted) == len(by_height.accepted)
         assert by_size.examined == by_height.examined
         assert by_size.snapshot() == by_height.snapshot()
+        assert by_size.height == by_height.height
         for layer in layers:
             assert len({m.size for m in layer}) == 1
             assert all(sub in by_size.accepted for m in layer for sub in m.subtrees())

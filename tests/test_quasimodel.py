@@ -291,6 +291,18 @@ def test_complete_path_below_rejects_bad_start(golden_quasimodel, worked_moments
     mu, _, mw = worked_moments
     with pytest.raises(ValueError):
         complete_path_below(q, [idx[mw]], idx[mu])
+    n = len(q.worlds)
+    for path, v0 in (([idx[mu]], -1), ([idx[mu]], n), ([-1], idx[mu]), ([n], idx[mu]),
+                     ([idx[mu], n], idx[mu])):
+        with pytest.raises(ValueError):
+            complete_path_below(q, path, v0)
+
+
+def test_build_realizing_path_rejects_bad_start(golden_quasimodel):
+    q, _ = golden_quasimodel
+    for start in (-1, len(q.worlds)):
+        with pytest.raises(ValueError):
+            build_realizing_path(q, start)
 
 
 # ---------------------------------------------------------------------------
