@@ -279,6 +279,40 @@ def profile_pattern(sigma: SigmaContext, profile: int) -> tuple[int, int] | None
     return sigma.forall_mask | bodies, profile | bodies
 
 
+def profile_type_pattern(sigma: SigmaContext, profile: int) -> tuple[int, int] | None:
+    """`profile_pattern` extended by the bits every viable type of the
+    profile takes, pinned in one pass in index order (`viable_types`
+    gives the rules and why they are sound); None when two pins disagree,
+    and then the profile has no viable type."""
+    pattern = profile_pattern(sigma, profile)
+    if pattern is None:
+        return None
+    care, value = pattern
+    for k, (op, a, b) in enumerate(sigma._ops):
+        x = value >> a & 1 if a is not None and care >> a & 1 else None
+        y = value >> b & 1 if b is not None and care >> b & 1 else None
+        if op is Bottom:
+            pin = 0
+        elif op is Next or op is Eventually:
+            pin = x
+        elif op is Implies:
+            pin = 1 if x == 0 or y == 1 else y if x == 1 else None
+        elif op is And:
+            pin = 0 if 0 in (x, y) else x if x == y else None
+        elif op is Or:
+            pin = 1 if 1 in (x, y) else x if x == y else None
+        else:  # atoms and A formulas: pinned by the profile or free
+            continue
+        if pin is None:
+            continue
+        if not care >> k & 1:
+            care |= 1 << k
+            value |= pin << k
+        elif value >> k & 1 != pin:
+            return None
+    return care, value
+
+
 def profile_compatible(sigma: SigmaContext, profile: int, mask: int) -> bool:
     """Label agrees with the profile and carries every promised body."""
     pattern = profile_pattern(sigma, profile)
@@ -306,9 +340,22 @@ def viable_types(sigma: SigmaContext, profile: int,
     a type outside it can appear in no such structure, and the removal
     order does not change it.
 
-    The profile-compatible types are built from the `profile_pattern` by
-    `SigmaContext.types_matching`, never filtered out of all types.  The
-    survivors are indexed by their `successor_pattern` (M, V), and M
+    The profile's types are built from its `profile_type_pattern` by
+    `SigmaContext.types_matching`, never filtered out of all types.  That
+    pattern extends `profile_pattern` with pins: bottom is 0, `X a` and
+    `<>a` take a's pinned value, `a -> c` is 1 when a is pinned to 0 or c
+    to 1 and takes c's pin when a is pinned to 1, and `&` and `|` take
+    the value their pinned operands force.  Two pins that disagree leave
+    no types.  The pins are sound by induction over the index order: if
+    the types removed by earlier pins lie in no fixpoint, a type that
+    disagrees with the next pin lacks a sensible successor (`X`), owes an
+    eventuality no label realizes (`<>`), keeps a defect no label revokes
+    (`->` over an antecedent at 0) or breaks a closure rule, so it lies in
+    no fixpoint either, and the greatest fixpoint does not change.
+    Certificates are still checked against the unpinned `profile_pattern`:
+    the pins are a deduction of this search, not a rule of a quasimodel.
+
+    The survivors are indexed by their `successor_pattern` (M, V), and M
     takes few distinct values.  A round first drops the types failing (a)
     or (c): (a) looks (M, V) up in the set of keys (M, w & M) of the
     survivors w, and (c) searches, for each defect, the list of
@@ -320,7 +367,7 @@ def viable_types(sigma: SigmaContext, profile: int,
     drops nothing ends it.  Every loop over types checks the deadline
     once per 256 types.
     """
-    pattern = profile_pattern(sigma, profile)
+    pattern = profile_type_pattern(sigma, profile)
     if pattern is None:
         return frozenset()
     patterns = {m: sigma.successor_pattern(m)

@@ -246,6 +246,41 @@ def test_viable_types_match_the_sweeping_oracle(flagship_sigma):
     assert dropped > 50
 
 
+def test_profile_pins_keep_the_viable_types():
+    from oracles import viability_oracle
+
+    # E's rewriting ~A~x puts an A formula in an implication's antecedent
+    rng = random.Random(59)
+    modalities = itlc.DIAMOND_FRAGMENT | {itlc.Modality.EXISTS}
+    contexts = [subformula_closure(itlc.eliminate_exists(parse(s)))
+                for s in ("EEp -> EE(p | q)", "EEp -> p & q", "E(p | Xq) -> X<>Eq")]
+    while len(contexts) < 30:
+        sigma = subformula_closure(itlc.eliminate_exists(
+            itlc.random_formula(rng, 4, ("p", "q", "r"), modalities)))
+        if len(sigma) <= 14 and any(isinstance(sigma.formulas[a], Forall)
+                                    for _, a, _ in sigma.impl_triples):
+            contexts.append(sigma)
+    pinned = 0  # profiles whose pins drop some of their types
+    for sigma in contexts:
+        for profile in itlc.labels.profile_masks(sigma):
+            viable = itlc.viable_types(sigma, profile)
+            assert viable == viability_oracle(sigma, profile), (sigma.formulas[-1], profile)
+            pins = itlc.labels.profile_type_pattern(sigma, profile)
+            kept = sigma.types_matching(*pins) if pins else ()
+            assert viable <= set(kept)
+            pinned += len(kept) < sum(itlc.labels.profile_compatible(sigma, profile, t)
+                                      for t in sigma.type_masks())
+    assert pinned > 80
+
+    # A X A p with A p outside the profile: the body X A p is pinned to 1
+    # and, through A p, to 0, though the profile has types
+    sigma = subformula_closure(parse("AXAp"))
+    profile = 1 << sigma.index[parse("AXAp")]
+    assert itlc.labels.profile_type_pattern(sigma, profile) is None
+    assert any(itlc.labels.profile_compatible(sigma, profile, t) for t in sigma.type_masks())
+    assert itlc.viable_types(sigma, profile) == viability_oracle(sigma, profile) == frozenset()
+
+
 def test_successor_pattern_matches_the_literal_rules(flagship_sigma):
     from oracles import sensible_oracle
 

@@ -553,6 +553,22 @@ def test_decide_builds_each_profiles_types(monkeypatch):
         assert verdict.kind == ("VALID" if text in VALIDITIES else "FALSIFIABLE"), text
 
 
+# each E is an A formula in an implication's antecedent, so each doubles
+# the profiles; only the bits a profile pins keep label viability on
+# these from running out of time
+E_CHAINS = {"EEEEEp -> EEEEE(p | q)": "VALID", "E" * 6 + "p -> " + "E" * 6 + "(p | q)": "VALID",
+            "E" * 10 + "p -> p & q": "FALSIFIABLE"}
+
+
+@pytest.mark.parametrize("text", sorted(E_CHAINS))
+def test_e_chains_are_decided(text):
+    f = parse(text)
+    verdict = decide(f, itlc.Caps(timeout=5))
+    assert (verdict.kind, verdict.complete) == (E_CHAINS[text], True)
+    if verdict.kind == "FALSIFIABLE":
+        assert verify_certificate(json.loads(verdict.certificate.to_json_text()), f)
+
+
 @pytest.mark.parametrize("text", HARD)
 def test_certificate_is_generated_inside_the_pruned_structure(monkeypatch, text):
     shrinks = []
@@ -845,16 +861,15 @@ def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system
 
 
 def test_label_viability_keeps_its_timeout():
-    # a depth-5 draw of 172,320 types whose empty profile alone keeps the
-    # viability fixpoint busy for over a second: every loop over types
-    # checks the deadline once per 256 types
-    f = parse("E<>(r -> q) | ((q -> r & #) -> EXp) -> X(AXp -> EEr)")
+    # a depth-7 draw (|Σ| 29) whose empty profile keeps the viability
+    # fixpoint busy for over half a second even with the bits it pins:
+    # every loop over types checks the deadline once per 256 types
+    f = parse("XX((EXp | E~r) & XX(q | #) & E(<>(r -> q) & ((q -> p) -> <>p)))")
     start = time.monotonic()
     assert decide(f, itlc.Caps(timeout=0.3)).kind == "RESOURCE_LIMIT"
     assert time.monotonic() - start < 1.3
 
     sigma = fragment_context(f)[1]
-    sigma.type_masks()
     start = time.monotonic()
     with pytest.raises(itlc.CapExceeded, match=r"^label viability passed "):
         itlc.viable_types(sigma, 0, itlc.Caps(timeout=0.3).deadline())
