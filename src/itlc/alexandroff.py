@@ -271,7 +271,7 @@ def _compile(f: Formula) -> _Program:
     from its operands' registers a and b.  The last one computes f.
     """
     subs = subformulas(f)
-    table = operand_table(subs, {g: i for i, g in enumerate(subs)})
+    table = operand_table(subs, {g: i for i, g in enumerate(subs)}.__getitem__)
     if unknown := {op for op, _, _ in table} - _NODE_TYPES:
         raise TypeError(f"unknown formula node {next(g for g in subs if type(g) in unknown)!r}")
     return tuple([(i, op, g.name if op is Atom else a, b)

@@ -349,10 +349,21 @@ def format_texts(formulas, ops) -> tuple[str, ...]:
 
 def format_formula(f: Formula) -> str:
     """Render with minimal parentheses; parse(format_formula(f)) == f.
-    Printed by `format_texts` over f's subformulas, once per node."""
+    Printed by `format_texts` over f's nodes, once per node: they are
+    listed in post-order by identity, so a fresh formula is never hashed."""
     if not hasattr(f, "_text"):
-        subs = subformulas(f)
-        format_texts(subs, operand_table(subs, {g: i for i, g in enumerate(subs)}))
+        nodes: list[Formula] = []
+        position: dict[int, int] = {}  # by the id of a listed node
+        stack = [(f, False)]
+        while stack:
+            g, expanded = stack.pop()
+            if expanded:
+                position[id(g)] = len(nodes)
+                nodes.append(g)
+            elif id(g) not in position:
+                stack.append((g, True))
+                stack.extend((c, False) for c in reversed(children(g)))
+        format_texts(nodes, operand_table(nodes, lambda g: position[id(g)]))
     return f._text
 
 
@@ -376,11 +387,12 @@ def subformulas(f: Formula) -> tuple[Formula, ...]:
     return tuple(acc)
 
 
-def operand_table(formulas, index) -> tuple[tuple[type, int | None, int | None], ...]:
+def operand_table(formulas, position) -> tuple[tuple[type, int | None, int | None], ...]:
     """(node type, first operand position, second operand position) of each formula,
-    read from index and padded with None; the context, printer and model checker read it."""
-    return tuple([(type(f), index[ops[0]], index[ops[1]]) if len(ops) == 2 else
-                  (type(f), index[ops[0]] if ops else None, None)
+    read by calling position on each operand and padded with None; the context,
+    printer and model checker read it."""
+    return tuple([(type(f), position(ops[0]), position(ops[1])) if len(ops) == 2 else
+                  (type(f), position(ops[0]) if ops else None, None)
                   for f in formulas for ops in [children(f)]])
 
 

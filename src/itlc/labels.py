@@ -41,7 +41,7 @@ class SigmaContext:
                     raise ValueError(f"context not subformula-closed in post-order: "
                                      f"{g} must precede {f}")
 
-        self._ops = operand_table(formulas, self.index)
+        self._ops = operand_table(formulas, self.index.__getitem__)
         self.impl_triples = tuple((i, a, b) for i, (op, a, b) in enumerate(self._ops)
                                   if op is Implies)
         self.next_pairs, self.ev_pairs, self.forall_pairs = (

@@ -29,8 +29,8 @@ from typing import NamedTuple
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
                      ItlcError, SchemaError, read_json, write_json)
-from .formula import (Bottom, Forall, Formula, Henceforth, children, eliminate_exists,
-                      format_formula, parse, subformulas)
+from .formula import (And, Atom, Bottom, Forall, Formula, Henceforth, Implies, Or, children,
+                      eliminate_exists, format_formula, parse, subformulas)
 from .labels import (SigmaContext, profile_compatible, profile_masks, reach_back,
                      subformula_closure, viable_types)
 from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _successor, below,
@@ -626,9 +626,13 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     """Decide validity of a formula over dynamical topological systems.
 
     The formula is rewritten without existential quantifiers and must
-    then use only next/eventually/forall.  Each universal profile is
-    first screened by the label-viability fixpoint; profiles it refutes
-    admit no falsifying structure at all.  For the remaining profiles,
+    then use only next/eventually/forall.  A one-world quasimodel is tried
+    first: for each valuation of the atoms (see _one_world_label) the
+    world's label is fixed, and the first label lacking the target is a
+    certificate, with the world its own successor and every other profile
+    not settled.  Otherwise each universal profile is screened by the
+    label-viability fixpoint; profiles it refutes admit no falsifying
+    structure at all.  For the remaining profiles,
     irreducible moments are generated over the viable labels by node
     count, smallest first, and pruned after each size layer; a surviving
     world omitting the target (plus honesty witnesses) yields FALSIFIABLE
@@ -647,6 +651,12 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
 
     outcomes = {}
     try:
+        label = _one_world_label(sigma, target_idx, deadline)
+        if label is not None:
+            q = Quasimodel(sigma, (moment(sigma, label),), ((0,),), label & sigma.forall_mask)
+            cert = Certificate(target, q, 0, {0: Lasso((), (0,))})
+            return _falsified(cert, deadline, outcomes, profile_masks(sigma))
+
         needing: list[tuple[int, frozenset[int]]] = []
         for profile in profile_masks(sigma):
             viable = viable_types(sigma, profile, deadline)
@@ -675,15 +685,7 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
                     lassos[i] = build_realizing_path(q, i)
                 cert = Certificate(target=target, quasimodel=q,
                                    witness=renumber[seeds[0]], lassos=lassos)
-                confirmed = verify_certificate(cert, target, deadline)
-                if not confirmed:
-                    raise InvariantViolation(
-                        f"emitted certificate failed: {confirmed.reason}")
-                outcomes[profile] = "falsifiable"
-                for other in profiles:
-                    outcomes.setdefault(other, "not settled before falsification")
-                return Verdict("FALSIFIABLE", cert, True,
-                               _outcome_list(sigma, outcomes))
+                return _falsified(cert, deadline, outcomes, profiles)
         capped = generation.capped
     except CapExceeded:
         capped = True
@@ -695,6 +697,67 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     if not capped:
         return Verdict("VALID", None, True, _outcome_list(sigma, outcomes))
     return Verdict("RESOURCE_LIMIT", None, False, _outcome_list(sigma, outcomes))
+
+
+_BLOCK_ATOMS = 8  # one-world valuations are tried 2^8 at a time
+
+
+def _one_world_label(sigma: SigmaContext, target_idx: int, deadline: Deadline) -> int | None:
+    """The label of the first one-world quasimodel lacking the target, or None.
+
+    A world that is its own successor is labelled by a valuation of the
+    atoms, tried in ascending order with the atoms in index order: '#' is
+    absent, `X a`, `<>a` and `A a` take a's bit, and '&', '|' and '->' are
+    classical.  Such a label is a type with no defect, since an absent
+    implication holds its antecedent.  The world is sensible to itself,
+    realizes each eventuality where it is owed, and is honest, because
+    `A a` is absent only when a is.
+
+    The valuations are taken in blocks of 2^_BLOCK_ATOMS, in which only the
+    first atoms vary: each formula's truth over a block is one integer, bit
+    v for the block's valuation v, so a block costs one pass over the
+    context.  The deadline is checked once per block."""
+    atoms = {k: j for j, k in enumerate(k for k, (op, _, _) in enumerate(sigma._ops)
+                                          if op is Atom)}
+    low = min(len(atoms), _BLOCK_ATOMS)
+    full = (1 << (1 << low)) - 1
+    varying = [sum(1 << v for v in range(1 << low) if v >> j & 1) for j in range(low)]
+    for block in range(1 << (len(atoms) - low)):
+        deadline.check("one-world search")
+        truth: list[int] = []
+        for k, (op, a, b) in enumerate(sigma._ops):
+            if op is Atom:
+                j = atoms[k]
+                t = varying[j] if j < low else full if block >> (j - low) & 1 else 0
+            elif op is Bottom:
+                t = 0
+            elif op is And:
+                t = truth[a] & truth[b]
+            elif op is Or:
+                t = truth[a] | truth[b]
+            elif op is Implies:
+                t = full ^ truth[a] | truth[b]
+            else:  # X, <> and A take their body's truth
+                t = truth[a]
+            truth.append(t)
+        lacking = full ^ truth[target_idx]
+        if lacking:
+            v = _lowest(lacking)
+            return sum((t >> v & 1) << k for k, t in enumerate(truth))
+    return None
+
+
+def _falsified(cert: Certificate, deadline: Deadline, outcomes: dict[int, str],
+               profiles) -> Verdict:
+    """FALSIFIABLE with the certificate once it verifies: its profile reads
+    falsifiable, and the other profiles not yet refuted are not settled."""
+    confirmed = verify_certificate(cert, cert.target, deadline)
+    if not confirmed:
+        raise InvariantViolation(f"emitted certificate failed: {confirmed.reason}")
+    outcomes[cert.quasimodel.profile] = "falsifiable"
+    for other in profiles:
+        outcomes.setdefault(other, "not settled before falsification")
+    return Verdict("FALSIFIABLE", cert, True, _outcome_list(cert.quasimodel.sigma, outcomes))
 
 
 def _seeds(labels, profile: int, target_idx: int,

@@ -293,9 +293,9 @@ def test_valid_honours_timeout(capsys):
 
 
 def test_a_nan_timeout_is_a_usage_error(capsys):
-    # a NaN deadline never trips: decide would run this for about 0.3 s
+    # a NaN deadline never trips: decide would run this for about a second
     # instead of refusing the flag
-    wide = " | ".join(f"p{i}" for i in range(1, 12)) + " -> p1"
+    wide = " | ".join(f"p{i}" for i in range(1, 12)) + " -> (X p1 -> p1)"
     for argv in (["decide", wide], ["countermodel", "p -> p"], ["enumerate", "--sigma", "p"]):
         assert run(argv + ["--timeout", "nan"]) == 2
         assert "--timeout" in capsys.readouterr().err
@@ -311,11 +311,13 @@ def test_countermodel_max_systems_trips_during_enumeration(capsys):
 
 
 def test_decide_timeout_covers_type_enumeration(capsys):
-    # 26 subformulas and 8,193 types, built in about 0.03 s: the timeout
-    # trips in the search that follows, which files each size layer under
-    # every type and checks the deadline per type (the deadline test in
-    # test_labels trips inside type enumeration itself)
-    wide = " | ".join(f"p{i}" for i in range(1, 14)) + " -> p1"
+    # 28 subformulas and no one-world countermodel, since X p1 -> p1 holds
+    # wherever a world is its own successor: after the one-world search and
+    # the label viability of 20,482 types, which takes most of the 0.5 s,
+    # the timeout trips in the search that follows, which files each size
+    # layer under every type and checks the deadline per type (the deadline
+    # test in test_labels trips inside type enumeration itself)
+    wide = " | ".join(f"p{i}" for i in range(1, 14)) + " -> (X p1 -> p1)"
     start = time.monotonic()
     assert run(["decide", wide, "--timeout", "0.5", "--format", "json"]) == 3
     assert time.monotonic() - start < 1.5

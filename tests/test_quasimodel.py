@@ -1,5 +1,7 @@
 import copy
 import json
+import pathlib
+import random
 import time
 import tracemalloc
 
@@ -443,9 +445,13 @@ def test_verify_honours_an_expired_deadline(flagship):
 
 def test_timeout_bounds_the_profile_outcome_list():
     # 2^15 profiles: printing each one's A-formulas from scratch once took
-    # 4.8 s past this 0.5 s timeout
+    # 4.8 s past this 0.5 s timeout.  X ~p <-> ~X p holds at every
+    # one-world label, so the search goes past the one-world stage, and the
+    # first profile keeps label viability busy for over 3 s
+    f = parse("E" * 12 + "p -> XX((EXp | E~r) & XX(q | #) & E(<>(r -> q) & ((q -> p) -> <>p)))"
+              " | (X ~p <-> ~X p)")
     start = time.monotonic()
-    verdict = decide(parse("E" * 15 + "p -> p & q"), itlc.Caps(timeout=0.5))
+    verdict = decide(f, itlc.Caps(timeout=0.5))
     assert verdict.kind == "RESOURCE_LIMIT" and len(verdict.profile_outcomes) == 2 ** 15
     assert time.monotonic() - start < 2.5
 
@@ -569,6 +575,51 @@ def test_e_chains_are_decided(text):
         assert verify_certificate(json.loads(verdict.certificate.to_json_text()), f)
 
 
+POOL = pathlib.Path(__file__).parent.parent / "perfbench" / "data" / "pool.json"
+
+
+def test_one_world_certificates_match_one_point_countermodels():
+    # a one-world quasimodel's label is the classical collapse of a
+    # valuation, so decide settles a formula with one world exactly when
+    # the independent model checker finds a one-point countermodel
+    pool = json.loads(POOL.read_text())
+    texts = random.Random(25).sample([e["formula"] for e in pool["body"] + pool["tail"]], 300)
+    one_world = 0
+    for text in texts:
+        f = parse(text)
+        verdict = decide(f, itlc.Caps(timeout=30))
+        cert = verdict.certificate
+        if cert is not None and len(cert.quasimodel.worlds) == 1:
+            one_world += 1
+            assert itlc.find_countermodel(f, 1) is not None, text
+            assert verify_certificate(json.loads(cert.to_json_text()), f), text
+        else:
+            assert itlc.find_countermodel(f, 1) is None, text
+    assert 0 < one_world < len(texts)
+
+
+def test_one_world_stage_tries_valuations_in_ascending_order():
+    # p | q -> r fails at {p}, {q} and {p, q} without r; of the valuations of
+    # (p, q, r), bits in index order, {p} is 1, {q} 2 and {p, q} 3
+    f = parse("p | q -> r")
+    cert = decide(f).certificate
+    (world,) = cert.quasimodel.worlds
+    sigma = cert.quasimodel.sigma
+    assert sigma.format_mask(world.label) == "{p, p | q}"
+    assert cert.quasimodel.successors == ((0,),) and cert.lassos == {0: Lasso((), (0,))}
+    assert cert.quasimodel.profile == 0
+
+
+def test_one_world_stage_settles_a_long_e_chain():
+    # 2^18 profiles, none of whose types are built; building them all
+    # before any certificate took 6.7 s and 146 MB
+    f = parse("E" * 18 + "p -> p & q")
+    verdict = decide(f, itlc.Caps(timeout=10))
+    assert (verdict.kind, verdict.complete) == ("FALSIFIABLE", True)
+    assert len(verdict.certificate.quasimodel.worlds) == 1
+    assert verify_certificate(json.loads(verdict.certificate.to_json_text()), f)
+
+
 @pytest.mark.parametrize("text", HARD)
 def test_certificate_is_generated_inside_the_pruned_structure(monkeypatch, text):
     shrinks = []
@@ -586,8 +637,12 @@ def test_certificate_is_generated_inside_the_pruned_structure(monkeypatch, text)
         assert verdict.kind == "VALID" and not shrinks
         return
     assert verdict.kind == "FALSIFIABLE"
-    (pruned, shrunk, renumber), = shrinks
     cert = verdict.certificate
+    if CERT_WORLDS.get(text) == 1:  # settled by the one-world stage, before any pruning
+        assert not shrinks and len(cert.quasimodel.worlds) == 1
+        assert verify_certificate(json.loads(cert.to_json_text()), f)
+        return
+    (pruned, shrunk, renumber), = shrinks
     assert cert.quasimodel == shrunk and shrunk.profile == pruned.profile
     assert verify_certificate(json.loads(cert.to_json_text()), f)
     old = {new: i for i, new in renumber.items()}
@@ -709,7 +764,9 @@ def test_eight_disjuncts_are_decided_quickly():
 def test_ten_disjuncts_are_decided_in_little_memory():
     import tracemalloc
 
-    f = parse("p1 | p2 | p3 | p4 | p5 | p6 | p7 | p8 | p9 | p10 -> p1")
+    # X p1 -> p1 holds at every one-world label, so this reaches moment
+    # generation and pruning, and comes out with two worlds
+    f = parse("p1 | p2 | p3 | p4 | p5 | p6 | p7 | p8 | p9 | p10 -> (X p1 -> p1)")
     tracemalloc.start()
     try:
         verdict = decide(f)
@@ -841,7 +898,8 @@ def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system
     monkeypatch.setattr(itlc.config, "Deadline", Recording)
     assert decide(parse("X ~p <-> ~X p")).kind == "FALSIFIABLE"
     assert len(clocks) == 1
-    assert clocks[0].seen == {"type enumeration", "label viability", "moment generation",
+    assert clocks[0].seen == {"one-world search", "type enumeration", "label viability",
+                              "moment generation",
                               "successor construction", "profile pruning",
                               "certificate construction", "lasso construction",
                               "certificate verification"}
@@ -863,10 +921,14 @@ def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system
 def test_label_viability_keeps_its_timeout():
     # a depth-7 draw (|Σ| 29) whose empty profile keeps the viability
     # fixpoint busy for over half a second even with the bits it pins:
-    # every loop over types checks the deadline once per 256 types
+    # every loop over types checks the deadline once per 256 types.  It has
+    # a one-world countermodel, so decide is given it with a disjunct that
+    # holds at every one-world label; the empty profile of that (|Σ| 35)
+    # keeps the fixpoint busy for over 20 s
     f = parse("XX((EXp | E~r) & XX(q | #) & E(<>(r -> q) & ((q -> p) -> <>p)))")
+    g = itlc.Or(f, parse("X ~p <-> ~X p"))
     start = time.monotonic()
-    assert decide(f, itlc.Caps(timeout=0.3)).kind == "RESOURCE_LIMIT"
+    assert decide(g, itlc.Caps(timeout=0.3)).kind == "RESOURCE_LIMIT"
     assert time.monotonic() - start < 1.3
 
     sigma = fragment_context(f)[1]
