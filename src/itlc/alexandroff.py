@@ -354,15 +354,13 @@ def _falsifying(X: FiniteSystem, program: _Program, atoms: list[str], caps: Caps
     """The first valuation of the atoms to opens, in product order, that
     falsifies the compiled formula somewhere, with its truth mask, or None.
     Raises CapExceeded before trying any if there are more than
-    caps.max_valuations; checks the deadline once per 256."""
+    caps.max_valuations; checks the deadline under what."""
     opens = open_masks(X)
     total = len(opens) ** len(atoms)
     if total > caps.max_valuations:
         raise CapExceeded(f"{total} valuations exceed the cap")
     tables = _Tables(X)
-    for k, combo in enumerate(itertools.product(opens, repeat=len(atoms))):
-        if k % 256 == 0:
-            deadline.check(what)
+    for combo in deadline.every(itertools.product(opens, repeat=len(atoms)), what):
         valuation = dict(zip(atoms, combo))
         truth = _evaluate_mask(tables, valuation, program, {})
         if truth != tables.full:

@@ -6,6 +6,7 @@ limit is reached, reporting incompleteness instead of guessing.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -65,6 +66,16 @@ class Deadline:
     def check(self, what: str) -> None:
         if self._end is not None and time.monotonic() >= self._end:
             raise CapExceeded(f"{what} passed the {self.timeout} s timeout")
+
+    def every(self, items, what: str):
+        """Yield the items, checking under what before the first and before
+        every 256th one after it: the cadence of every loop over cheap
+        steps.  A list that grows while it is read is read to its end."""
+        items = iter(items)
+        for first in items:
+            self.check(what)
+            yield first
+            yield from itertools.islice(items, 255)
 
 
 DEFAULT_CAPS = Caps()

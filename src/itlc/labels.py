@@ -19,9 +19,6 @@ from .formula import (And, Bottom, Eventually, Forall, Formula, Implies,
                       Next, Or, children, format_texts, operand_table, subformulas)
 
 
-_MASK_BLOCK = 4096
-
-
 class SigmaContext:
     """A subformula-closed set of formulas with deterministic indexing.
 
@@ -118,19 +115,14 @@ class SigmaContext:
         bit k that agrees with value where care pins bit k, and is dropped
         when there is none.  Every rule allows some value, so with nothing
         pinned every partial mask extends to a type and the cost follows
-        the number of types, not 2^|Σ|.  The deadline is checked once per
-        block of partial masks per subformula; the final sort is one
-        unchecked step.
+        the number of types, not 2^|Σ|.  The final sort is one unchecked
+        step.
         """
         masks = [0]
         for k in range(len(self.formulas)):
-            grown: list[int] = []
             agree = (value >> k & 1,) if care >> k & 1 else (0, 1)
-            for start in range(0, len(masks), _MASK_BLOCK):
-                deadline.check("type enumeration")
-                grown.extend(m | b << k for m in masks[start:start + _MASK_BLOCK]
-                             for b in self._bits(k, m) if b in agree)
-            masks = grown
+            masks = [m | b << k for m in deadline.every(masks, "type enumeration")
+                     for b in self._bits(k, m) if b in agree]
         return tuple(sorted(masks))
 
     def type_masks(self, deadline: Deadline = NO_DEADLINE) -> tuple[int, ...]:
@@ -319,14 +311,6 @@ def profile_compatible(sigma: SigmaContext, profile: int, mask: int) -> bool:
     return pattern is not None and mask & pattern[0] == pattern[1]
 
 
-def _blocks(items, deadline: Deadline):
-    """The items in lists of 256, checking the deadline before each list."""
-    items = list(items)
-    for start in range(0, len(items), 256):
-        deadline.check("label viability")
-        yield items[start:start + 256]
-
-
 def viable_types(sigma: SigmaContext, profile: int,
                  deadline: Deadline = NO_DEADLINE) -> frozenset[int]:
     """Greatest set of profile-compatible types closed under the survival rules.
@@ -364,35 +348,33 @@ def viable_types(sigma: SigmaContext, profile: int,
     its body: survivors without the body wait under their pattern, and
     each newly reached w releases the waiters under (M, w & M).  Those
     owing the eventuality and never reached are dropped, and a round that
-    drops nothing ends it.  Every loop over types checks the deadline
-    once per 256 types.
+    drops nothing ends it.  Every loop over types checks the deadline.
     """
     pattern = profile_type_pattern(sigma, profile)
     if pattern is None:
         return frozenset()
+
+    def checked(types):
+        return deadline.every(types, "label viability")
+
     patterns = {m: sigma.successor_pattern(m)
-                for block in _blocks(sigma.types_matching(*pattern, deadline), deadline)
-                for m in block}
+                for m in checked(sigma.types_matching(*pattern, deadline))}
     alive = {m for m, p in patterns.items() if p is not None}
     before = None
     while len(alive) != before:
         before = len(alive)
         cares = {patterns[m][0] for m in alive}
-        keys = {(care, w & care) for block in _blocks(alive, deadline)
-                for w in block for care in cares}
-        revokers = {(a, c): [v for block in _blocks(alive, deadline)
-                             for v in block if v >> a & 1 and not v >> c & 1]
+        keys = {(care, w & care) for w in checked(alive) for care in cares}
+        revokers = {(a, c): [v for v in checked(alive) if v >> a & 1 and not v >> c & 1]
                     for _, a, c in sigma.impl_triples}
-        alive = {m for block in _blocks(alive, deadline) for m in block
-                 if patterns[m] in keys
+        alive = {m for m in checked(alive) if patterns[m] in keys
                  and all(any(v & m == m for v in revokers[a, c])
                          for i, a, c in sigma.impl_triples if not m >> i & 1 and not m >> a & 1)}
         for i, b in sigma.ev_pairs:
             waiting: dict[tuple[int, int], list[int]] = {}
-            for block in _blocks(alive, deadline):
-                for v in block:
-                    if not v >> b & 1:
-                        waiting.setdefault(patterns[v], []).append(v)
+            for v in checked(alive):
+                if not v >> b & 1:
+                    waiting.setdefault(patterns[v], []).append(v)
             held = {care for care, _ in waiting}
             reached = reach_back([w for w in alive if w >> b & 1],
                                  lambda w: [v for care in held
@@ -405,12 +387,10 @@ def viable_types(sigma: SigmaContext, profile: int,
 def reach_back(start, predecessors, deadline: Deadline, what: str) -> set:
     """The nodes of start and those from which a path reaches one of them,
     found breadth first: `predecessors(w)` lists the nodes with a step into
-    w.  The deadline is checked, under what, once per 256 nodes reached."""
+    w.  The deadline is checked under what."""
     reached = set(start)
     queue = list(reached)
-    for k, w in enumerate(queue):  # the queue grows while it is read
-        if k % 256 == 0:
-            deadline.check(what)
+    for w in deadline.every(queue, what):  # the queue grows while it is read
         for v in predecessors(w):
             if v not in reached:
                 reached.add(v)

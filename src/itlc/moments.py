@@ -310,8 +310,9 @@ class _Generation:
     `layer` counts the layers begun and `height` is the height of the
     tallest moment generated, in either order.  One grow() call produces
     one non-empty layer, so a caller may interleave generation with its
-    own searches and stop early; `capped` records whether a resource
-    limit cut the space off before it was exhausted.
+    own searches and stop early; `tripped` keeps the CapExceeded of a
+    resource limit that cut the space off before it was exhausted, and
+    `capped` says whether there is one.
 
     allowed_labels, a collection of types, are the node labels; None means
     every type, whose enumeration raises CapExceeded if the deadline passes
@@ -328,7 +329,7 @@ class _Generation:
         self.budget = 4 * caps.max_moments
         self.examined = 0
         self.count = 0
-        self.capped = False
+        self.tripped: CapExceeded | None = None
         self.exhausted = False
         self.layer = 0
         self.height = 0
@@ -338,12 +339,14 @@ class _Generation:
         self.above: dict[int, list[tuple[int, list[Moment]]]] = {t: [] for t in self.types}
         self.filed = dict.fromkeys(self.types, 0)
 
+    @property
+    def capped(self) -> bool:
+        return self.tripped is not None
+
     def _spend(self) -> None:
         self.examined += 1
         if self.count >= self.caps.max_moments or self.examined >= self.budget:
             raise CapExceeded("moment cap reached")
-        if self.examined % 256 == 0:
-            self.deadline.check("moment generation")
 
     def grow(self) -> list[Moment]:
         """Generate the next non-empty layer; [] once the space is exhausted
@@ -357,8 +360,8 @@ class _Generation:
                 self.exhausted = self._exhausted(fresh)
                 if fresh or self.exhausted:
                     return fresh
-        except CapExceeded:
-            self.capped = True
+        except CapExceeded as err:
+            self.tripped = err
             return []
 
     def _next_layer(self) -> list[Moment]:
@@ -367,7 +370,8 @@ class _Generation:
         fresh: list[Moment] = []
         for root in self.types:
             defect_ids = self.sigma.defect_indices(root)
-            for kids in self._child_sets(self._groups(root)):
+            for kids in self.deadline.every(self._child_sets(self._groups(root)),
+                                            "moment generation"):
                 self._admit(root, defect_ids, kids, fresh)
         self.layers.append(fresh)
         self.height = max([self.height] + [m.height for m in fresh])

@@ -544,9 +544,7 @@ def _verify(data: dict, target: Formula,
     idx = {m: i for i, m in enumerate(worlds)}
     remap = {wid: idx[m] for wid, m in by_id.items()}
     edges = set()
-    for k, pair in enumerate(data["s_edges"]):
-        if k % 256 == 0:
-            deadline.check("certificate verification")
+    for pair in deadline.every(data["s_edges"], "certificate verification"):
         a, b = pair
         if a not in remap or b not in remap:
             return Check(False, f"edge {pair} references an unknown world")
@@ -678,11 +676,7 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
                                target_idx, forall_bodies)
                 if seeds is None:
                     continue
-                q, renumber = _generated(q, seeds, deadline)
-                lassos = {}
-                for i in range(len(q.worlds)):
-                    deadline.check("lasso construction")
-                    lassos[i] = build_realizing_path(q, i)
+                q, renumber, lassos = _generated(q, seeds, deadline)
                 cert = Certificate(target=target, quasimodel=q,
                                    witness=renumber[seeds[0]], lassos=lassos)
                 return _falsified(cert, deadline, outcomes, profiles)
@@ -770,10 +764,11 @@ def _seeds(labels, profile: int, target_idx: int,
     return None if None in seeds else seeds
 
 
-def _generated(q: Quasimodel, seeds: list[int],
-               deadline: Deadline) -> tuple[Quasimodel, dict[int, int]]:
+def _generated(q: Quasimodel, seeds: list[int], deadline: Deadline
+               ) -> tuple[Quasimodel, dict[int, int], dict[int, Lasso]]:
     """The sub-quasimodel of q that the seed worlds generate, renumbered
-    canonically, with the map from old to new world indices.
+    canonically, with the map from old to new world indices and a
+    realizing lasso of each of its worlds.
 
     Kept worlds and edges are closed under three rules: a kept world's
     submoments are kept; so are the worlds and edges of its realizing
@@ -785,7 +780,7 @@ def _generated(q: Quasimodel, seeds: list[int],
     and honest because the seeds include a world lacking the body of
     every A-formula outside the profile.
     """
-    worlds: set[int] = set()
+    lassos: dict[int, Lasso] = {}
     edges: set[tuple[int, int]] = set()
     new_worlds = list(reversed(seeds))
     new_edges: list[tuple[int, int]] = []
@@ -800,11 +795,11 @@ def _generated(q: Quasimodel, seeds: list[int],
         deadline.check("certificate construction")
         if new_worlds:
             i = new_worlds.pop()
-            if i in worlds:
+            if i in lassos:
                 continue
-            worlds.add(i)
             new_worlds.extend(reversed(q._beneath[i]))
-            lasso = build_realizing_path(q, i)
+            deadline.check("lasso construction")
+            lasso = lassos[i] = build_realizing_path(q, i)
             walk = lasso.prefix + lasso.loop + lasso.loop[:1]
             for a, b in zip(walk, walk[1:]):
                 keep(a, b)
@@ -814,12 +809,13 @@ def _generated(q: Quasimodel, seeds: list[int],
         for a2 in q._beneath[a]:
             if not any((a2, t) in edges for t in under_b):
                 keep(a2, next(t for t in under_b if t in q.successors[a2]))
-    kept = sorted(worlds)
+    kept = sorted(lassos)
     renumber = {i: k for k, i in enumerate(kept)}
     shrunk = Quasimodel(q.sigma, tuple(q.worlds[i] for i in kept),
                         _rows(len(kept), ((renumber[a], renumber[b]) for a, b in edges)),
                         q.profile)
-    return shrunk, renumber
+    return shrunk, renumber, {k: Lasso(*(tuple(renumber[j] for j in part) for part in lassos[i]))
+                              for k, i in enumerate(kept)}
 
 
 def _outcome_list(sigma: SigmaContext, outcomes: dict[int, str]) -> tuple[str, ...]:
@@ -859,8 +855,8 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
     generation = _Generation(sigma, caps, point_labels, deadline)
     while generation.grow():
         pass
-    if generation.capped:
-        raise CapExceeded("irreducible enumeration over the point labels was cut off")
+    if generation.tripped:
+        raise generation.tripped
 
     n = len(system.names)
     memo: dict[tuple[Moment, int], bool] = {}

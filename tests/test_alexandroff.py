@@ -198,7 +198,10 @@ def test_valuation_searches_check_the_deadline_every_256(monkeypatch):
     # 3-point antichain, so both searches try them all
     gaps = [0]  # valuations tried since each deadline check, the latest last
 
-    class Stub:
+    class Stub(Deadline):
+        def __init__(self):
+            super().__init__(None)
+
         def check(self, what):
             gaps.append(0)
 

@@ -112,6 +112,16 @@ def test_extract_subcommand(capsys):
     assert "(Xp -> Xq) -> X(p -> q)" in payload["falsified"]
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--timeout", "0"], "moment generation passed the 0.0 s timeout"),
+    (["--max-moments", "1"], "moment cap reached"),
+])
+def test_extract_names_the_limit_that_tripped(flags, reason, capsys):
+    assert run(["extract", FIXTURE, "X p -> p", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"resource limit: {reason}\n"
+
+
 def test_extract_prints_json_unless_asked_for_dot(capsys):
     argv = _COMMAND_LINES["extract"]
     assert run([*argv, "--format", "text"]) == 2

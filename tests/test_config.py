@@ -22,6 +22,39 @@ def test_deadline_trips_once_its_time_has_passed():
         deadline.check("late")
 
 
+def _recording(log):
+    """A deadline that never trips and logs what each check names."""
+    class Recording(Deadline):
+        def check(self, what):
+            log.append(what)
+
+    return Recording(None)
+
+
+def test_every_checks_before_the_first_item_and_every_256th():
+    log = []
+    for item in _recording(log).every(range(1000), "loop"):
+        log.append(item)
+    assert [x for x in log if x != "loop"] == list(range(1000))
+    assert [log[i + 1] for i, x in enumerate(log) if x == "loop"] == [0, 256, 512, 768]
+
+
+def test_every_over_nothing_checks_nothing():
+    log = []
+    assert list(_recording(log).every([], "loop")) == [] and log == []
+
+
+def test_every_reads_a_list_that_grows_while_it_is_read():
+    log = []
+    queue = [0]
+    for item in _recording(log).every(queue, "loop"):
+        log.append(item)
+        if item < 599:
+            queue.append(item + 1)
+    assert [x for x in log if x != "loop"] == list(range(600))
+    assert [log[i + 1] for i, x in enumerate(log) if x == "loop"] == [0, 256, 512]
+
+
 def test_a_nan_timeout_is_refused():
     # monotonic() >= nan is always false, so such a deadline would never trip
     with pytest.raises(ValueError, match="NaN"):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 import itlc
+from itlc.config import Deadline
 from itlc.formula import And, Atom, BOT, Eventually, Forall, Implies, Next, Or, parse
 from itlc.labels import (SigmaContext, TypeSet, defects, enumerate_types,
                          sensible_pair, subformula_closure, type_set)
@@ -197,6 +198,22 @@ def test_type_enumeration_checks_its_deadline():
         with pytest.raises(itlc.CapExceeded, match=r"^type enumeration passed "):
             build(itlc.Caps(timeout=0.2).deadline())
         assert time.monotonic() - start < 5
+
+
+def test_type_enumeration_checks_its_deadline_every_256_partial_masks():
+    sigma = subformula_closure(parse(" | ".join(f"p{i}" for i in range(1, 13)) + " -> p1"))
+    checks = []
+
+    class Recording(Deadline):
+        def check(self, what):
+            checks.append(what)
+
+    types = sigma.types_matching(0, 0, Recording(None))
+    # with nothing pinned every partial mask extends to a type, so the
+    # partial masks over the first k formulas are the types cut to k bits
+    partial = [len({t & (1 << k) - 1 for t in types}) for k in range(len(sigma))]
+    assert set(checks) == {"type enumeration"}
+    assert len(checks) >= sum(-(-n // 256) for n in partial)
 
 
 def test_types_matching_builds_the_filtered_types(flagship_sigma):

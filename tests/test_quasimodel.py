@@ -626,9 +626,9 @@ def test_certificate_is_generated_inside_the_pruned_structure(monkeypatch, text)
     generated = itlc.quasimodel._generated
 
     def recording(q, seeds, deadline):
-        shrunk, renumber = generated(q, seeds, deadline)
+        shrunk, renumber, lassos = generated(q, seeds, deadline)
         shrinks.append((q, shrunk, renumber))
-        return shrunk, renumber
+        return shrunk, renumber, lassos
 
     monkeypatch.setattr(itlc.quasimodel, "_generated", recording)
     f = parse(text)
@@ -699,9 +699,9 @@ def test_check_quasimodel_matches_the_edge_by_edge_oracle(monkeypatch):
     generated = itlc.quasimodel._generated
 
     def recording(q, seeds, deadline):
-        shrunk, renumber = generated(q, seeds, deadline)
+        shrunk, renumber, lassos = generated(q, seeds, deadline)
         built.extend((q, shrunk))
-        return shrunk, renumber
+        return shrunk, renumber, lassos
 
     monkeypatch.setattr(itlc.quasimodel, "_generated", recording)
     for text in HARD:
