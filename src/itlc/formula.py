@@ -13,9 +13,14 @@ Concrete grammar::
     or      := and ('|' and)*
     and     := unary ('&' unary)*
     unary   := ('~'|'X'|'<>'|'[]'|'A'|'E') unary | atom | '#' | '(' formula ')'
-    atom    := [a-z][a-zA-Z0-9_]*
+    atom    := lower (letter | digit | '_')*
 
-Precedence: unary > '&' > '|' > '->' (right associative).
+Precedence: unary > '&' > '|' > '->' (right associative).  Letters and
+digits are Unicode ones: `lower` is a character for which `str.islower`
+holds, `letter | digit` one for which `str.isalnum` does, and whitespace
+one for which `str.isspace` does, so `é1` and `ßq` are atoms.  The
+letters `X`, `A` and `E` are operators wherever a token starts: `Xp` is
+X applied to `p`, while `pX` is one atom.
 
 Nesting is bounded: parse refuses a formula nested more than MAX_NESTING
 levels deep, counting parentheses as well as operators, because a
@@ -25,6 +30,7 @@ formula's first hash and `godel_tarski` recurse over the tree.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -175,41 +181,23 @@ MAX_NESTING = 100
 _TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 
 
+#: An operator, or else a non-space character and the word characters after
+#: it, an atom when that character is lower case (some, like 'ⓐ', are not word
+#: characters).  Every character between two matches is whitespace.
+_TOKEN = re.compile(r"(<->|<>|->|\[\]|[~&|()#XAE])|\S\w*")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Yield (kind, value, position) triples; kind is 'op' or 'atom'."""
+    """(kind, value, position) triples; kind is 'op' or 'atom'."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "<":
-            if text.startswith("<->", i):
-                tokens.append(("op", "<->", i))
-                i += 3
-            elif text.startswith("<>", i):
-                tokens.append(("op", "<>", i))
-                i += 2
-            else:
-                raise ParseError("unknown token '<'", i)
-        elif text.startswith("->", i):
-            tokens.append(("op", "->", i))
-            i += 2
-        elif text.startswith("[]", i):
-            tokens.append(("op", "[]", i))
-            i += 2
-        elif c in "~&|()#XAE":
-            tokens.append(("op", c, i))
-            i += 1
-        elif c.islower():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("atom", text[i:j], i))
-            i = j
+    for match in _TOKEN.finditer(text):
+        value, position = match.group(), match.start()
+        if match.lastindex:
+            tokens.append(("op", value, position))
+        elif value[0].islower():
+            tokens.append(("atom", value, position))
         else:
-            raise ParseError(f"unknown token {c!r}", i)
+            raise ParseError(f"unknown token {value[0]!r}", position)
     return tokens
 
 

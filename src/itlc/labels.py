@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .config import NO_DEADLINE, Deadline
 from .errors import SigmaMismatchError
-from .formula import (And, Bottom, Eventually, Forall, Formula, Implies,
+from .formula import (And, Atom, Bottom, Eventually, Forall, Formula, Implies,
                       Next, Or, children, format_texts, operand_table, subformulas)
 
 
@@ -41,6 +41,9 @@ class SigmaContext:
         self._ops = operand_table(formulas, self.index.__getitem__)
         self.impl_triples = tuple((i, a, b) for i, (op, a, b) in enumerate(self._ops)
                                   if op is Implies)
+        # every formula but the atoms, which `classical_pins` never pins
+        self._connectives = tuple((i, op, a, b) for i, (op, a, b) in enumerate(self._ops)
+                                  if op is not Atom)
         self.next_pairs, self.ev_pairs, self.forall_pairs = (
             tuple((i, a) for i, (op, a, _) in enumerate(self._ops) if op is node)
             for node in (Next, Eventually, Forall))
@@ -271,38 +274,92 @@ def profile_pattern(sigma: SigmaContext, profile: int) -> tuple[int, int] | None
     return sigma.forall_mask | bodies, profile | bodies
 
 
+def classical_pins(sigma: SigmaContext, ones: list[int], zeros: list[int]) -> None:
+    """Pin each formula in index order by the classical reading of its
+    connective, in every lane at once.
+
+    Bit v of ones[k] or zeros[k] pins formula k to 1 or 0 in lane v; the
+    lists hold the seeded pins and are extended in place.  These are the
+    only such rules: `#` is 0; `&`, `|` and `->` take the value their
+    pinned operands force; `X a` and `<>a` take a's pins; `A a` takes a's
+    pins only in lanes where its own bit is free; every other formula
+    keeps its seeds.  A lane where some formula is pinned both ways, in
+    ones[k] & zeros[k], holds no type.
+    """
+    for k, op, a, b in sigma._connectives:
+        if op is Or:
+            ones[k] |= ones[a] | ones[b]
+            zeros[k] |= zeros[a] & zeros[b]
+        elif op is And:
+            ones[k] |= ones[a] & ones[b]
+            zeros[k] |= zeros[a] | zeros[b]
+        elif op is Implies:
+            ones[k] |= zeros[a] | ones[b]
+            zeros[k] |= ones[a] & zeros[b]
+        elif op is Forall:
+            free = ~(ones[k] | zeros[k])
+            ones[k] |= ones[a] & free
+            zeros[k] |= zeros[a] & free
+        elif op is Next or op is Eventually:
+            ones[k] |= ones[a]
+            zeros[k] |= zeros[a]
+        elif op is Bottom:
+            zeros[k] = -1  # every lane
+
+
 def profile_type_pattern(sigma: SigmaContext, profile: int) -> tuple[int, int] | None:
     """`profile_pattern` extended by the bits every viable type of the
-    profile takes, pinned in one pass in index order (`viable_types`
-    gives the rules and why they are sound); None when two pins disagree,
-    and then the profile has no viable type."""
+    profile takes: `classical_pins` on one lane, seeded by the pattern
+    (`viable_types` says why the pins are sound); None when two pins
+    disagree, and then the profile has no viable type."""
     pattern = profile_pattern(sigma, profile)
     if pattern is None:
         return None
     care, value = pattern
-    for k, (op, a, b) in enumerate(sigma._ops):
-        x = value >> a & 1 if a is not None and care >> a & 1 else None
-        y = value >> b & 1 if b is not None and care >> b & 1 else None
-        if op is Bottom:
-            pin = 0
-        elif op is Next or op is Eventually:
-            pin = x
-        elif op is Implies:
-            pin = 1 if x == 0 or y == 1 else y if x == 1 else None
-        elif op is And:
-            pin = 0 if 0 in (x, y) else x if x == y else None
-        elif op is Or:
-            pin = 1 if 1 in (x, y) else x if x == y else None
-        else:  # atoms and A formulas: pinned by the profile or free
-            continue
-        if pin is None:
-            continue
-        if not care >> k & 1:
-            care |= 1 << k
-            value |= pin << k
-        elif value >> k & 1 != pin:
-            return None
-    return care, value
+    ones = [value >> k & 1 for k in range(len(sigma))]
+    zeros = [(care & ~value) >> k & 1 for k in range(len(sigma))]
+    classical_pins(sigma, ones, zeros)
+    ones, zeros = (sum((pin & 1) << k for k, pin in enumerate(pins)) for pins in (ones, zeros))
+    return None if ones & zeros else (ones | zeros, ones)
+
+
+_BLOCK_ATOMS = 8  # one-world valuations are tried 2^8 at a time
+
+
+def one_world_label(sigma: SigmaContext, target: int,
+                    deadline: Deadline = NO_DEADLINE) -> int | None:
+    """The label of the first one-world quasimodel lacking formula target,
+    or None.
+
+    A world that is its own successor is labelled by a valuation of the
+    atoms, tried in ascending order with the atoms in index order, and
+    every other bit is what `classical_pins` makes of it.  Such a label is
+    a type with no defect, since an absent implication holds its
+    antecedent.  The world is sensible to itself, realizes each
+    eventuality where it is owed, and is honest, because `A a` is absent
+    only when a is.
+
+    The valuations are taken in blocks of 2^_BLOCK_ATOMS, one lane each,
+    in which only the first atoms vary, so a block costs one pass over the
+    context.  The deadline is checked once per block."""
+    atoms = [k for k, (op, _, _) in enumerate(sigma._ops) if op is Atom]
+    low, high = atoms[:_BLOCK_ATOMS], atoms[_BLOCK_ATOMS:]
+    full = (1 << (1 << len(low))) - 1
+    seed_ones, seed_zeros = [0] * len(sigma), [0] * len(sigma)
+    for j, k in enumerate(low):
+        seed_ones[k] = sum(1 << v for v in range(1 << len(low)) if v >> j & 1)
+        seed_zeros[k] = full ^ seed_ones[k]
+    for block in range(1 << len(high)):
+        deadline.check("one-world search")
+        ones, zeros = seed_ones[:], seed_zeros[:]
+        for j, k in enumerate(high):
+            (ones if block >> j & 1 else zeros)[k] = full
+        classical_pins(sigma, ones, zeros)
+        lacking = zeros[target] & full
+        if lacking:
+            v = (lacking & -lacking).bit_length() - 1
+            return sum((one >> v & 1) << k for k, one in enumerate(ones))
+    return None
 
 
 def profile_compatible(sigma: SigmaContext, profile: int, mask: int) -> bool:
@@ -326,16 +383,15 @@ def viable_types(sigma: SigmaContext, profile: int,
 
     The profile's types are built from its `profile_type_pattern` by
     `SigmaContext.types_matching`, never filtered out of all types.  That
-    pattern extends `profile_pattern` with pins: bottom is 0, `X a` and
-    `<>a` take a's pinned value, `a -> c` is 1 when a is pinned to 0 or c
-    to 1 and takes c's pin when a is pinned to 1, and `&` and `|` take
-    the value their pinned operands force.  Two pins that disagree leave
-    no types.  The pins are sound by induction over the index order: if
-    the types removed by earlier pins lie in no fixpoint, a type that
-    disagrees with the next pin lacks a sensible successor (`X`), owes an
-    eventuality no label realizes (`<>`), keeps a defect no label revokes
-    (`->` over an antecedent at 0) or breaks a closure rule, so it lies in
-    no fixpoint either, and the greatest fixpoint does not change.
+    pattern extends `profile_pattern` by the pins of `classical_pins`;
+    the profile pins every `A` bit, so no `A` formula takes its body's
+    pins.  Two pins that disagree leave no types.  The pins are sound by
+    induction over the index order: if the types removed by earlier pins
+    lie in no fixpoint, a type that disagrees with the next pin lacks a
+    sensible successor (`X`), owes an eventuality no label realizes
+    (`<>`), keeps a defect no label revokes (`->` over an antecedent at
+    0) or breaks a closure rule, so it lies in no fixpoint either, and
+    the greatest fixpoint does not change.
     Certificates are still checked against the unpinned `profile_pattern`:
     the pins are a deduction of this search, not a rule of a quasimodel.
 

@@ -29,10 +29,10 @@ from typing import NamedTuple
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
                      ItlcError, SchemaError, read_json, write_json)
-from .formula import (And, Atom, Bottom, Forall, Formula, Henceforth, Implies, Or, children,
-                      eliminate_exists, format_formula, parse, subformulas)
-from .labels import (SigmaContext, profile_compatible, profile_masks, reach_back,
-                     subformula_closure, viable_types)
+from .formula import (Bottom, Forall, Formula, Henceforth, children, eliminate_exists,
+                      format_formula, parse, subformulas)
+from .labels import (SigmaContext, one_world_label, profile_compatible, profile_masks,
+                     reach_back, subformula_closure, viable_types)
 from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _successor, below,
                       check_kit, moment)
 
@@ -485,7 +485,8 @@ def _decode(cert, target: Formula,
         return _verify(data, target, deadline)
     except CapExceeded:
         raise
-    except (ItlcError, AttributeError, KeyError, TypeError, ValueError) as err:
+    except (ItlcError, AttributeError, KeyError, TypeError, ValueError,
+            RecursionError) as err:  # a moment nested past the interpreter's stack
         return Check(False, f"malformed certificate: {err}")
 
 
@@ -625,7 +626,7 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
 
     The formula is rewritten without existential quantifiers and must
     then use only next/eventually/forall.  A one-world quasimodel is tried
-    first: for each valuation of the atoms (see _one_world_label) the
+    first: for each valuation of the atoms (see `one_world_label`) the
     world's label is fixed, and the first label lacking the target is a
     certificate, with the world its own successor and every other profile
     not settled.  Otherwise each universal profile is screened by the
@@ -646,99 +647,49 @@ def decide(target: Formula, caps: Caps = DEFAULT_CAPS) -> Verdict:
     deadline = caps.deadline()
     target_idx = sigma.index[reduced]
     forall_bodies = dict(sigma.forall_pairs)
+    profiles = profile_masks(sigma)
 
     outcomes = {}
+    capped = False
     try:
-        label = _one_world_label(sigma, target_idx, deadline)
+        label = one_world_label(sigma, target_idx, deadline)
         if label is not None:
             q = Quasimodel(sigma, (moment(sigma, label),), ((0,),), label & sigma.forall_mask)
             cert = Certificate(target, q, 0, {0: Lasso((), (0,))})
-            return _falsified(cert, deadline, outcomes, profile_masks(sigma))
+            return _falsified(cert, deadline, outcomes, profiles)
 
         needing: list[tuple[int, frozenset[int]]] = []
-        for profile in profile_masks(sigma):
+        for profile in profiles:
             viable = viable_types(sigma, profile, deadline)
             if _seeds(sorted(viable), profile, target_idx, forall_bodies) is not None:
                 needing.append((profile, viable))
             else:
                 outcomes[profile] = "refuted by label viability"
-        if not needing:
-            return Verdict("VALID", None, True, _outcome_list(sigma, outcomes))
-
-        allowed = frozenset().union(*(v for _, v in needing))
-        generation = _SizeGeneration(sigma, caps, allowed_labels=allowed, deadline=deadline)
-        profiles = [p for p, _ in needing]
-        while generation.grow():
-            carrier = generation.snapshot()
-            for profile in profiles:
-                q = _prune(sigma, carrier, profile, None, deadline)
-                seeds = _seeds([w.label for w in q.worlds], profile,
-                               target_idx, forall_bodies)
-                if seeds is None:
-                    continue
-                q, renumber, lassos = _generated(q, seeds, deadline)
-                cert = Certificate(target=target, quasimodel=q,
-                                   witness=renumber[seeds[0]], lassos=lassos)
-                return _falsified(cert, deadline, outcomes, profiles)
-        capped = generation.capped
+        if needing:
+            allowed = frozenset().union(*(v for _, v in needing))
+            generation = _SizeGeneration(sigma, caps, allowed_labels=allowed, deadline=deadline)
+            while generation.grow():
+                carrier = generation.snapshot()
+                for profile, _ in needing:
+                    q = _prune(sigma, carrier, profile, None, deadline)
+                    seeds = _seeds([w.label for w in q.worlds], profile,
+                                   target_idx, forall_bodies)
+                    if seeds is None:
+                        continue
+                    q, renumber, lassos = _generated(q, seeds, deadline)
+                    cert = Certificate(target=target, quasimodel=q,
+                                       witness=renumber[seeds[0]], lassos=lassos)
+                    return _falsified(cert, deadline, outcomes, profiles)
+            capped = generation.capped
     except CapExceeded:
         capped = True
 
     # outcomes holds only viability refutations here
-    for profile in profile_masks(sigma):
+    for profile in profiles:
         outcomes.setdefault(profile, "inconclusive (capped)" if capped
                             else "no witness in complete enumeration")
-    if not capped:
-        return Verdict("VALID", None, True, _outcome_list(sigma, outcomes))
-    return Verdict("RESOURCE_LIMIT", None, False, _outcome_list(sigma, outcomes))
-
-
-_BLOCK_ATOMS = 8  # one-world valuations are tried 2^8 at a time
-
-
-def _one_world_label(sigma: SigmaContext, target_idx: int, deadline: Deadline) -> int | None:
-    """The label of the first one-world quasimodel lacking the target, or None.
-
-    A world that is its own successor is labelled by a valuation of the
-    atoms, tried in ascending order with the atoms in index order: '#' is
-    absent, `X a`, `<>a` and `A a` take a's bit, and '&', '|' and '->' are
-    classical.  Such a label is a type with no defect, since an absent
-    implication holds its antecedent.  The world is sensible to itself,
-    realizes each eventuality where it is owed, and is honest, because
-    `A a` is absent only when a is.
-
-    The valuations are taken in blocks of 2^_BLOCK_ATOMS, in which only the
-    first atoms vary: each formula's truth over a block is one integer, bit
-    v for the block's valuation v, so a block costs one pass over the
-    context.  The deadline is checked once per block."""
-    atoms = {k: j for j, k in enumerate(k for k, (op, _, _) in enumerate(sigma._ops)
-                                          if op is Atom)}
-    low = min(len(atoms), _BLOCK_ATOMS)
-    full = (1 << (1 << low)) - 1
-    varying = [sum(1 << v for v in range(1 << low) if v >> j & 1) for j in range(low)]
-    for block in range(1 << (len(atoms) - low)):
-        deadline.check("one-world search")
-        truth: list[int] = []
-        for k, (op, a, b) in enumerate(sigma._ops):
-            if op is Atom:
-                j = atoms[k]
-                t = varying[j] if j < low else full if block >> (j - low) & 1 else 0
-            elif op is Bottom:
-                t = 0
-            elif op is And:
-                t = truth[a] & truth[b]
-            elif op is Or:
-                t = truth[a] | truth[b]
-            elif op is Implies:
-                t = full ^ truth[a] | truth[b]
-            else:  # X, <> and A take their body's truth
-                t = truth[a]
-            truth.append(t)
-        lacking = full ^ truth[target_idx]
-        if lacking:
-            v = _lowest(lacking)
-            return sum((t >> v & 1) << k for k, t in enumerate(truth))
-    return None
+    return Verdict("RESOURCE_LIMIT" if capped else "VALID", None, not capped,
+                   _outcome_list(sigma, outcomes))
 
 
 def _falsified(cert: Certificate, deadline: Deadline, outcomes: dict[int, str],
@@ -819,8 +770,8 @@ def _generated(q: Quasimodel, seeds: list[int], deadline: Deadline
 
 
 def _outcome_list(sigma: SigmaContext, outcomes: dict[int, str]) -> tuple[str, ...]:
-    names = {i: format_formula(sigma.formulas[i]) for i, _ in sigma.forall_pairs}
-    return tuple(f"profile {{{', '.join(t for i, t in names.items() if profile >> i & 1)}}}: {text}"
+    names = [(i, sigma.texts[i]) for i, _ in sigma.forall_pairs]
+    return tuple(f"profile {{{', '.join(t for i, t in names if profile >> i & 1)}}}: {text}"
                  for profile, text in sorted(outcomes.items()))
 
 

@@ -62,6 +62,42 @@ def test_parse_errors_carry_position():
         parse("p q")
 
 
+# text -> its (kind, value, position) tokens, or the ParseError message and position
+LEXER_CASES = {
+    "pX": [("atom", "pX", 0)],  # an operator letter inside a word
+    "Xp": [("op", "X", 0), ("atom", "p", 1)],
+    "é": [("atom", "é", 0)],
+    "ßq": [("atom", "ßq", 0)],
+    "ⓐb": [("atom", "ⓐb", 0)],  # lower case, though not a word character
+    "pⓐ": [("atom", "p", 0), ("atom", "ⓐ", 1)],
+    "　p": [("atom", "p", 1)],  # ideographic space
+    "\x1cp": [("atom", "p", 1)],  # file separator
+    "p -> q \t\n": [("atom", "p", 0), ("op", "->", 2), ("atom", "q", 5)],
+    "p <-> <>q": [("atom", "p", 0), ("op", "<->", 2), ("op", "<>", 6), ("atom", "q", 8)],
+    "q | _p": ("unknown token '_'", 4),
+    "q | 1p": ("unknown token '1'", 4),
+    "q | P": ("unknown token 'P'", 4),
+    "q | <": ("unknown token '<'", 4),
+    "q | <-p": ("unknown token '<'", 4),
+    "q | -": ("unknown token '-'", 4),
+    "q | [p": ("unknown token '['", 4),
+}
+
+
+@pytest.mark.parametrize("text", LEXER_CASES)
+def test_lexer_edge_cases(text):
+    expected = LEXER_CASES[text]
+    if isinstance(expected, list):
+        assert itlc.formula._tokenize(text) == expected
+        return
+    message, position = expected
+    for read in (itlc.formula._tokenize, parse):
+        with pytest.raises(itlc.ParseError) as err:
+            read(text)
+        assert (str(err.value), err.value.position) == (
+            f"{message} (at position {position})", position)
+
+
 NESTS = [
     lambda n: "X" * n + "p",
     lambda n: "E" * n + "p",

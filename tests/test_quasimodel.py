@@ -610,6 +610,17 @@ def test_one_world_stage_tries_valuations_in_ascending_order():
     assert cert.quasimodel.profile == 0
 
 
+def test_one_world_stage_finds_a_label_past_the_first_block():
+    # valuations are tried 256 at a time over p1 ... p8; the first one
+    # falsifying this sets only p9: valuation 256, lane 0 of the second block
+    f = parse(" | ".join(f"p{i}" for i in range(1, 9)) + " | ~p9")
+    verdict = decide(f)
+    assert (verdict.kind, verdict.complete) == ("FALSIFIABLE", True)
+    (world,) = verdict.certificate.quasimodel.worlds
+    assert verdict.certificate.quasimodel.sigma.format_mask(world.label) == "{p9}"
+    assert verify_certificate(json.loads(verdict.certificate.to_json_text()), f)
+
+
 def test_one_world_stage_settles_a_long_e_chain():
     # 2^18 profiles, none of whose types are built; building them all
     # before any certificate took 6.7 s and 146 MB
@@ -951,3 +962,16 @@ def test_decoded_certificate_reads_back_its_own_json(flagship):
                       for k, v in data["lassos"].items()}
     assert verify_certificate(data, flagship)
     assert itlc.certificate_from_json(data, flagship) == cert
+
+
+def test_a_moment_nested_past_the_stack_is_malformed(flagship):
+    # read_json refuses JSON nested this deep, but a dict passed to the API
+    # is read as given
+    data = json.loads(decide(flagship).certificate.to_json_text())
+    nested = {"label": [], "children": []}
+    for _ in range(3000):
+        nested = {"label": [], "children": [nested]}
+    data["worlds"][0]["moment"] = nested
+    assert verify_certificate(data, flagship).reason.startswith("malformed certificate: ")
+    with pytest.raises(itlc.SchemaError, match="^certificate invalid: malformed certificate: "):
+        itlc.certificate_from_json(data, flagship)
