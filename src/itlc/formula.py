@@ -22,15 +22,21 @@ one for which `str.isspace` does, so `é1` and `ßq` are atoms.  The
 letters `X`, `A` and `E` are operators wherever a token starts: `Xp` is
 X applied to `p`, while `pX` is one atom.
 
-Nesting is bounded: parse refuses a formula nested more than MAX_NESTING
-levels deep, counting parentheses as well as operators, because a
-formula's first hash and `godel_tarski` recurse over the tree.
+Formulas are hash-consed (see `Formula`): each formula is one object, so
+equality and hashing are identity, with no cached hash and no equality
+walk, and the operands '<->' shares are shared without extra work.  No
+walk in this module recurses over a formula.  Nesting is bounded all
+the same: parse refuses a formula nested more than MAX_NESTING levels
+deep, counting parentheses as well as operators, because the parser
+recurses once per level.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,100 +46,94 @@ from .errors import ParseError
 class Formula:
     """Base class of all formula nodes, which are frozen dataclasses.
 
-    A node's hash covers its type and its operands.  It is computed on
-    first use and cached, so each node is hashed once and operands shared
-    by '<->' are never walked twice; equality walks two formulas
-    pairwise, each pair of nodes once.  So is a node's printed text; no
-    cache is a dataclass field: equality, repr, pickling and copying see
-    only the operands.
+    Nodes are hash-consed: building a node looks its type and operands up
+    in one weak table and returns the live node if there is one, so equal
+    formulas are one object, whether built through the API, parsed,
+    copied or unpickled.  Equality and hashing are identity, with no
+    cached hash and no equality walk, and '<->' shares its operands
+    without extra work.  Keywords name the operands, as in
+    `And(left=p, right=q)`.  A node's printed text is cached on it and is
+    no dataclass field: repr, pickling and copying see only the operands.
     """
 
-    __slots__ = ("_hash", "_text")
+    __slots__ = ("_text", "__weakref__")
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # first use; the operands cache theirs in turn
-            value = hash((type(self), *(getattr(self, name) for name in self.__match_args__)))
-            object.__setattr__(self, "_hash", value)
-            return value
+    def __new__(cls, *operands, **named):
+        if named:  # keywords fill the operands after the positional ones
+            operands += tuple(named.pop(name) for name in cls.__match_args__[len(operands):]
+                              if name in named)
+        if named or len(operands) != len(cls.__match_args__):
+            raise TypeError(f"{cls.__name__} takes the operands {cls.__match_args__}")
+        key = (cls, *operands)
+        with _LOCK:  # look up and insert as one step
+            node = _NODES.get(key)
+            if node is None:
+                node = _NODES[key] = object.__new__(cls)
+                for name, value in zip(cls.__match_args__, operands):
+                    object.__setattr__(node, name, value)
+        return node
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Formula):
-            return NotImplemented
-        if type(self) is not type(other) or hash(self) != hash(other):
-            return False
-        seen: set[tuple[int, int]] = set()
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if type(a) is Atom:
-                if a.name != b.name:
-                    return False
-                continue
-            for x, y in zip(children(a), children(b)):
-                if x is not y and (id(x), id(y)) not in seen:
-                    if type(x) is not type(y):
-                        return False
-                    seen.add((id(x), id(y)))
-                    stack.append((x, y))
-        return True
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+#: The live node of each (node type, *operands); a node leaves it when dropped.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Next(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Eventually(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Henceforth(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Forall(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Exists(Formula):
     body: Formula
 
@@ -174,9 +174,8 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 _SYMBOLS = {m.value: t for t, m in _UNARY.items()}  # modality symbol -> node type
 
-#: Deepest nesting parse accepts.  Exists elimination triples the depth and a
-#: formula's first hash takes a stack frame per level, so this stays well
-#: inside Python's default recursion limit.
+#: Deepest nesting parse accepts.  The parser takes a few stack frames per
+#: level, so this stays well inside Python's default recursion limit.
 MAX_NESTING = 100
 _TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 
@@ -296,13 +295,13 @@ def _height(f: Formula) -> int:
     """Operator levels of the syntax tree (0 for a leaf), counted without
     recursion.  '<->' shares its operands, so a node is walked again only
     when reached at a deeper level."""
-    deepest: dict[int, int] = {}
+    deepest: dict[Formula, int] = {}
     stack = [(f, 0)]
     while stack:
         g, level = stack.pop()
-        if deepest.get(id(g), -1) >= level:
+        if deepest.get(g, -1) >= level:
             continue
-        deepest[id(g)] = level
+        deepest[g] = level
         stack.extend((c, level + 1) for c in children(g))
     return max(deepest.values())
 
@@ -336,22 +335,14 @@ def format_texts(formulas, ops) -> tuple[str, ...]:
 
 
 def format_formula(f: Formula) -> str:
-    """Render with minimal parentheses; parse(format_formula(f)) == f.
-    Printed by `format_texts` over f's nodes, once per node: they are
-    listed in post-order by identity, so a fresh formula is never hashed."""
+    """Render with minimal parentheses; parse(format_formula(f)) is f.
+    Printed by `format_texts` over `subformulas(f)`, once per distinct
+    subformula, so the operands '<->' shares are printed once.  Listing
+    them hashes each node by identity: no cached hash, no equality walk."""
     if not hasattr(f, "_text"):
-        nodes: list[Formula] = []
-        position: dict[int, int] = {}  # by the id of a listed node
-        stack = [(f, False)]
-        while stack:
-            g, expanded = stack.pop()
-            if expanded:
-                position[id(g)] = len(nodes)
-                nodes.append(g)
-            elif id(g) not in position:
-                stack.append((g, True))
-                stack.extend((c, False) for c in reversed(children(g)))
-        format_texts(nodes, operand_table(nodes, lambda g: position[id(g)]))
+        nodes = subformulas(f)
+        position = {g: k for k, g in enumerate(nodes)}
+        format_texts(nodes, operand_table(nodes, position.__getitem__))
     return f._text
 
 
@@ -388,8 +379,10 @@ def eliminate_exists(f: Formula) -> Formula:
     """Rewrite every exists subterm, innermost first, to ~A~body.
 
     The result evaluates to the same truth set on every model.  Each
-    distinct subformula is rewritten once, so operands shared by '<->'
-    stay shared.
+    distinct subformula is rewritten once, keyed by identity (nodes are
+    hash-consed: no cached hash, no equality walk), so operands shared by
+    '<->' stay shared without extra work, and a formula without exists
+    comes back as the same object.
     """
     out: dict[Formula, Formula] = {}
     for g in subformulas(f):  # post-order: operands are rewritten first
@@ -418,19 +411,22 @@ def godel_tarski(f: Formula) -> str:
     an interior-guarded classical arrow, henceforth gains an interior
     guard, everything else maps homomorphically.  Rendered tokens:
     '*' interior, '->' classical arrow, 'X'/'<>'/'[]'/'A'/'E'/'#' as in
-    the source syntax.
+    the source syntax.  Each distinct subformula's text is built once,
+    bottom up, from its operands' texts.
     """
-    if isinstance(f, Bottom):
-        return "#"
-    if isinstance(f, Atom):
-        return "*" + f.name
-    if isinstance(f, Implies):
-        return f"*({godel_tarski(f.left)} -> {godel_tarski(f.right)})"
-    if isinstance(f, (And, Or)):
-        return f"({godel_tarski(f.left)}{_SHAPES[type(f)][1]}{godel_tarski(f.right)})"
-    if isinstance(f, Henceforth):
-        return "*[]" + godel_tarski(f.body)
-    return _UNARY[type(f)].value + godel_tarski(f.body)
+    text: dict[Formula, str] = {}
+    for g in subformulas(f):  # post-order: operands come first
+        if isinstance(g, Bottom):
+            text[g] = "#"
+        elif isinstance(g, Atom):
+            text[g] = "*" + g.name
+        elif isinstance(g, Implies):
+            text[g] = f"*({text[g.left]} -> {text[g.right]})"
+        elif isinstance(g, (And, Or)):
+            text[g] = f"({text[g.left]}{_SHAPES[type(g)][1]}{text[g.right]})"
+        else:
+            text[g] = ("*[]" if isinstance(g, Henceforth) else _UNARY[type(g)].value) + text[g.body]
+    return text[f]
 
 
 # ---------------------------------------------------------------------------

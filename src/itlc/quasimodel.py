@@ -447,7 +447,7 @@ def _moment_from_json(sigma: SigmaContext, data, where: str) -> Moment:
         raise SchemaError(f"{where}: moment object needs 'label' and 'children'")
     mask = 0
     for i in data["label"]:
-        if not isinstance(i, int) or not 0 <= i < len(sigma):
+        if type(i) is not int or not 0 <= i < len(sigma):  # JSON true is no index
             raise SchemaError(f"{where}.label: bad index {i!r}")
         mask |= 1 << i
     kids = [_moment_from_json(sigma, c, f"{where}.children[{k}]")
@@ -524,11 +524,13 @@ def _verify(data: dict, target: Formula,
 
     profile = 0
     for i in data["profile"]:
-        if not isinstance(i, int) or not sigma.forall_mask >> i & 1:
+        if type(i) is not int or not sigma.forall_mask >> i & 1:
             return Check(False, f"profile index {i!r} is not a universal formula")
         profile |= 1 << i
 
     ids = [w["id"] for w in data["worlds"]]
+    if any(isinstance(i, bool) for i in ids):
+        return Check(False, "a world id is a boolean")
     if len(set(ids)) != len(ids):
         return Check(False, "duplicate world ids")
     by_id = {}
@@ -547,12 +549,13 @@ def _verify(data: dict, target: Formula,
     edges = set()
     for pair in deadline.every(data["s_edges"], "certificate verification"):
         a, b = pair
-        if a not in remap or b not in remap:
+        try:
+            edges.add((_world(remap, a), _world(remap, b)))
+        except KeyError:
             return Check(False, f"edge {pair} references an unknown world")
-        edges.add((remap[a], remap[b]))
     q = Quasimodel(sigma, worlds, _rows(len(worlds), edges), profile)
 
-    listed_order = {(remap[a], remap[b]) for a, b in data["order"]}
+    listed_order = {(_world(remap, a), _world(remap, b)) for a, b in data["order"]}
     if listed_order != set(q.order_pairs()):
         return Check(False, "listed order disagrees with the submoment relation")
 
@@ -560,9 +563,11 @@ def _verify(data: dict, target: Formula,
     if not structural:
         return structural
 
-    if data["witness"] not in remap:
+    wid = data["witness"]
+    try:
+        witness = _world(remap, wid)
+    except KeyError:
         return Check(False, "witness id unknown")
-    witness = remap[data["witness"]]
     if not q.root_lacks(witness, sigma.index[reduced]):
         return Check(False, "witness root label contains the target")
 
@@ -574,13 +579,22 @@ def _verify(data: dict, target: Formula,
         entry = data["lassos"].get(str(orig))
         if entry is None:
             return Check(False, f"world {orig} has no lasso")
-        lasso = Lasso(tuple(remap[k] for k in entry["prefix"]),
-                      tuple(remap[k] for k in entry["loop"]))
+        lasso = Lasso(tuple(_world(remap, k) for k in entry["prefix"]),
+                      tuple(_world(remap, k) for k in entry["loop"]))
         problem = _lasso_problem(q, i, lasso)
         if problem is not None:
             return Check(False, f"lasso for world {orig}: {problem}")
         lassos[i] = lasso
     return Certificate(target, q, witness, lassos)
+
+
+def _world(remap: dict, wid) -> int:
+    """The index of the world a certificate's id names: remap[wid], except
+    that JSON true and false name no world, though True == 1 and False == 0
+    as keys."""
+    if isinstance(wid, bool):
+        raise KeyError(wid)
+    return remap[wid]
 
 
 def save_certificate(cert: Certificate, path) -> None:

@@ -1,10 +1,12 @@
 import copy
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -280,9 +282,12 @@ def test_equal_formulas_hash_equal():
 
 
 def test_hash_distinguishes_node_types():
-    assert len({hash(And(p, q)), hash(Or(p, q)), hash(Implies(p, q))}) == 3
-    assert len({hash(Next(p)), hash(Eventually(p)), hash(Henceforth(p)),
-                hash(Forall(p)), hash(Exists(p))}) == 5
+    # hashing is identity, and a dropped node's address can be reused: keep
+    # each node alive while it is hashed
+    binary = [And(p, q), Or(p, q), Implies(p, q)]
+    unary = [Next(p), Eventually(p), Henceforth(p), Forall(p), Exists(p)]
+    assert len({hash(f) for f in binary}) == 3
+    assert len({hash(f) for f in unary}) == 5
 
 
 def test_cached_hash_is_not_state():
@@ -314,8 +319,8 @@ def test_nested_biconditionals_stay_linear():
     chain = "p"
     for _ in range(40):
         chain = f"(q <-> {chain})"
-    # the twin compares two separately parsed, equal chains, and adds
-    # only c -> c and (c -> c) & (c -> c) to the chain c's closure
+    # the twin's two chains are parsed separately yet are one object, so
+    # its closure adds only c -> c and (c -> c) & (c -> c) to the chain c's
     for text, size in ((chain, 3 * 40 + 2), (f"{chain} <-> {chain}", 3 * 40 + 4)):
         start = time.perf_counter()
         reduced = eliminate_exists(parse(text))
@@ -326,3 +331,49 @@ def test_nested_biconditionals_stay_linear():
     start = time.perf_counter()
     assert parse(chain) == parse(chain) and parse(chain) != parse(chain.replace("p", "r"))
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+
+def test_one_node_per_formula():
+    assert And(p, q) is And(left=p, right=q) is And(p, right=q)
+    assert Atom(name="p") is p and Bottom() is BOT
+    f = parse("A(~p | <>p) -> (~<>p | <>p)")
+    for again in (eval(repr(f), vars(itlc)), copy.copy(f), copy.deepcopy(f),
+                  pickle.loads(pickle.dumps(f)), parse(str(f))):
+        assert again is f
+    assert eliminate_exists(f) is f
+
+
+@pytest.mark.parametrize("build", [lambda: And(p), lambda: And(p, q, r), lambda: And(p, left=q),
+                                   lambda: And(right=q), lambda: Next(p, body=q), lambda: Bottom(p)])
+def test_wrong_operands_are_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_a_dropped_formula_leaves_the_table():
+    f = parse("X(zz -> <>zz)")
+    dropped = weakref.ref(f)
+    del f
+    gc.collect()
+    assert dropped() is None
+
+
+def test_formulas_deeper_than_the_recursion_limit():
+    # built through the API: parse refuses them, but nothing recurses over them
+    levels = 5000
+    assert levels > sys.getrecursionlimit()
+    chains = []
+    for _ in range(2):
+        chain = p
+        for _ in range(levels):
+            chain = Next(chain)
+        chains.append(chain)
+    chain, again = chains
+    assert again is chain and again == chain and hash(again) == hash(chain)
+    assert chain != Next(chain) and len(itlc.subformula_closure(chain)) == levels + 1
+    assert format_formula(chain) == "X" * levels + "p"
+    assert godel_tarski(chain) == "X" * levels + "*p"
+    assert eliminate_exists(chain) is chain and fragment_of(chain) == {Modality.NEXT}

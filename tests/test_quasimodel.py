@@ -975,3 +975,50 @@ def test_a_moment_nested_past_the_stack_is_malformed(flagship):
     assert verify_certificate(data, flagship).reason.startswith("malformed certificate: ")
     with pytest.raises(itlc.SchemaError, match="^certificate invalid: malformed certificate: "):
         itlc.certificate_from_json(data, flagship)
+
+
+# field -> (target, path to an index or world id in its certificate, the JSON
+# boolean put there); True == 1 and False == 0, so each certificate verified
+# before booleans were refused
+BOOLEAN_FAULTS = {
+    "label": ("X p -> p", ("worlds", 0, "moment", "label", 0), True),
+    "profile": ("A p -> q", ("profile", 0), True),
+    "world id": ("~~p -> p", ("worlds", 1, "id"), True),
+    "edge": ("~~p -> p", ("s_edges", 0, 0), False),
+    "order": ("~~p -> p", ("order", 0, 0), True),
+    "witness": ("~~p -> p", ("witness",), False),
+    "lasso prefix": ("~~p -> p", ("lassos", "1", "prefix", 0), True),
+    "lasso loop": ("~~p -> p", ("lassos", "1", "loop", 0), False),
+}
+
+
+@pytest.mark.parametrize("field", BOOLEAN_FAULTS)
+def test_a_json_boolean_is_no_index(field):
+    text, path, boolean = BOOLEAN_FAULTS[field]
+    target = parse(text)
+    data = json.loads(decide(target).certificate.to_json_text())
+    *outer, last = path
+    holder = data
+    for key in outer:
+        holder = holder[key]
+    assert holder[last] == boolean and type(holder[last]) is int
+    holder[last] = boolean
+    if field == "world id":  # the world's lasso is listed under its id's text
+        data["lassos"][str(boolean)] = data["lassos"].pop(str(int(boolean)))
+    assert not verify_certificate(data, target)
+    with pytest.raises(itlc.SchemaError, match="^certificate invalid: "):
+        itlc.certificate_from_json(data, target)
+
+
+def test_a_chain_deeper_than_the_recursion_limit_is_decided():
+    # built through the API past parse's bound: the certificate's texts are
+    # canonical, so the verifier reads them back without parsing
+    chain = itlc.Atom("p")
+    for _ in range(1500):
+        chain = itlc.Next(chain)
+    target = itlc.Implies(chain, itlc.Atom("q"))
+    verdict = decide(target, itlc.Caps(timeout=30))
+    assert verdict.kind == "FALSIFIABLE"
+    data = json.loads(verdict.certificate.to_json_text())
+    assert len(data["worlds"]) == 1
+    assert verify_certificate(data, target)
