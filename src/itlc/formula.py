@@ -316,11 +316,11 @@ _SHAPES = {**{t: (s, "", _UNARY_LVL, (_UNARY_LVL,)) for s, t in [*_SYMBOLS.items
            Implies: ("", " -> ", _IMPL, (_IMPL + 1, _IMPL))}
 
 
-def format_texts(formulas, ops) -> tuple[str, ...]:
+def _texts(formulas, ops) -> list[str]:
     """The texts of formulas listed after their operands; ops is their
     `operand_table`.  These are the only printing rules: each text is built
     once from its operands' texts and levels, in time linear in the total
-    text length, and cached on its node."""
+    text length."""
     out: list[tuple[str, int]] = []  # (text, level)
     for f, (op, a, b) in zip(formulas, ops):
         if a is None:
@@ -330,19 +330,29 @@ def format_texts(formulas, ops) -> tuple[str, ...]:
             text = pre + infix.join([out[k][0] if out[k][1] >= bare else f"({out[k][0]})"
                                      for k, bare in zip((a, b), least)])
         out.append((text, level))
+    return [text for text, _ in out]
+
+
+def format_texts(formulas, ops) -> tuple[str, ...]:
+    """`_texts`, each cached on its node: a context's texts are read again
+    by every certificate, verifier and profile list built over it."""
+    texts = _texts(formulas, ops)
+    for f, text in zip(formulas, texts):
         object.__setattr__(f, "_text", text)
-    return tuple(text for text, _ in out)
+    return tuple(texts)
 
 
 def format_formula(f: Formula) -> str:
     """Render with minimal parentheses; parse(format_formula(f)) is f.
-    Printed by `format_texts` over `subformulas(f)`, once per distinct
-    subformula, so the operands '<->' shares are printed once.  Listing
-    them hashes each node by identity: no cached hash, no equality walk."""
+    Printed by `_texts` over `subformulas(f)`, once per distinct
+    subformula, so the operands '<->' shares are printed once.  Only f's
+    own text is cached: the texts of a chain's subformulas add up to the
+    square of its depth."""
     if not hasattr(f, "_text"):
         nodes = subformulas(f)
         position = {g: k for k, g in enumerate(nodes)}
-        format_texts(nodes, operand_table(nodes, position.__getitem__))
+        texts = _texts(nodes, operand_table(nodes, position.__getitem__))
+        object.__setattr__(f, "_text", texts[-1])
     return f._text
 
 

@@ -57,7 +57,6 @@ class SigmaContext:
         self._type_memo: dict[int, bool] = {}
         self._moment_cache: dict = {}
         self._fold_memo: dict = {}
-        self._succ_memo: dict = {}
         self._reduce_memo: dict = {}
 
     def __len__(self) -> int:

@@ -16,8 +16,9 @@ exactly when no child folds into a sibling's submoments.
 
 The successor relation between moments holds when some node-level
 relation pairs the roots, relates only sensible label pairs, and is
-forward confluent over the tree orders; it is computed by recursion on
-the submoments of the source.
+forward confluent over the tree orders.  Every row of it over a set of
+targets is computed at once, as bitsets, bottom up over the submoments
+of the sources (`_successor_masks`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .config import Caps, DEFAULT_CAPS, Deadline
+from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import CapExceeded, KitError, SigmaMismatchError
 from .labels import SigmaContext, TypeSet
 
@@ -173,27 +174,81 @@ def temporal_successor(v: Moment, w: Moment) -> bool:
     """Whether w can follow v: some relation on nodes pairs the roots,
     relates only sensible label pairs, and is forward confluent.
 
-    By recursion on v: the roots must be sensible, and every child of v
-    must be followed by some submoment of w.  A witness for the roots
-    restricts to a witness for each child and the submoment it pairs the
-    child with, and the root pair together with witnesses for the
-    children is a witness for the roots.  The recursion is as deep as v
-    is tall; results are memoized per context.
+    The roots must be sensible, and every child of v must be followed by
+    some submoment of w.  A witness for the roots restricts to a witness
+    for each child and the submoment it pairs the child with, and the root
+    pair together with witnesses for the children is a witness for the
+    roots.  This is `_successor_masks` over the one source v and the one
+    target w.
     """
     if v.sigma != w.sigma:
         raise SigmaMismatchError("moments built over different contexts")
-    return _successor(v, w)
+    return _successor_masks((v,), (w,))[0] == 1
 
 
-def _successor(v: Moment, w: Moment) -> bool:
-    memo = v.sigma._succ_memo
-    key = (v, w)
-    hit = memo.get(key)
-    if hit is None:
-        hit = (v.sigma.sensible_masks(v.label, w.label)
-               and all(any(_successor(c, t) for t in w.subtrees()) for c in v.children))
-        memo[key] = hit
-    return hit
+def _successor_masks(sources, targets, deadline: Deadline = NO_DEADLINE) -> list[int]:
+    """For each source v, the mask of the distinct targets that can follow
+    it: bit j is set when `temporal_successor(v, targets[j])`.
+
+    One pass bottom up over the submoments of the sources, on bitsets over
+    the universe of the targets (bit j is targets[j]) and their
+    submoments.  A submoment x is followed by the moments of
+
+        follow(x) = fit(x) & AND over the children c of x of up(follow(c)),
+
+    where fit(x) holds the moments whose root labels may follow x's, that
+    is those with label & M == V for x's successor pattern (M, V), and
+    up(S) is the union of above[u] over u in S, above[u] holding the
+    moments with u among their submoments.  Each up(S) is built once per
+    call.  The deadline is checked on every 256th step of the loops that
+    collect the universe, above, the submoments of the sources and the fit
+    masks, and once per submoment of a source.
+    """
+    what = "successor construction"
+    index = {w: j for j, w in enumerate(targets)}
+    universe = list(targets)
+    above = [0] * len(universe)
+    with_label: dict[int, int] = {}
+    for i, u in enumerate(deadline.every(universe, what)):  # read as it grows
+        with_label[u.label] = with_label.get(u.label, 0) | 1 << i
+        for t in u.subtrees():
+            j = index.get(t)
+            if j is None:
+                j = index[t] = len(universe)
+                universe.append(t)
+                above.append(0)
+            above[j] |= 1 << i
+    nodes = sorted({x for v in deadline.every(sources, what) for x in v.subtrees()},
+                   key=lambda x: x.height)
+    fit: dict[tuple[int, int], int] = {}
+    for care in {p[0] for p in (x.sigma.pattern_of(x.label) for x in nodes) if p is not None}:
+        for label, members in deadline.every(with_label.items(), what):
+            key = (care, label & care)
+            fit[key] = fit.get(key, 0) | members
+    ups: dict[int, int] = {}
+    follow: dict[Moment, int] = {}
+    for x in nodes:
+        deadline.check(what)
+        mask = fit.get(x.sigma.pattern_of(x.label), 0)
+        for c in x.children:
+            s = follow[c]
+            up = ups.get(s)
+            if up is None:
+                up = ups[s] = _union(above, s)
+            mask &= up
+        follow[x] = mask
+    everything = (1 << len(targets)) - 1
+    return [follow[v] & everything for v in sources]
+
+
+def _union(masks: list[int], s: int) -> int:
+    """The union of masks[u] over the bits u of s."""
+    out = 0
+    while s:
+        low = s & -s
+        out |= masks[low.bit_length() - 1]
+        s ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +257,7 @@ def _successor(v: Moment, w: Moment) -> bool:
 def _folds(u: Moment, v: Moment) -> bool:
     """Whether some label-preserving monotone node map sends u into v,
     root to root: the labels are equal and every child of u folds into
-    some submoment of v.  Memoized per context, like _successor."""
+    some submoment of v.  Memoized per context."""
     if u.label != v.label:
         return False
     memo = u.sigma._fold_memo

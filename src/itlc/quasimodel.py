@@ -33,8 +33,8 @@ from .formula import (Bottom, Forall, Formula, Henceforth, children, eliminate_e
                       format_formula, parse, subformulas)
 from .labels import (SigmaContext, one_world_label, profile_compatible, profile_masks,
                      reach_back, subformula_closure, viable_types)
-from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _successor, below,
-                      check_kit, moment)
+from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _successor_masks,
+                      below, check_kit, moment)
 
 
 @dataclass(frozen=True)
@@ -263,24 +263,18 @@ def _prune(sigma: SigmaContext, moments, mask: int, order=None,
 
 def _successor_lists(moments, deadline: Deadline = NO_DEADLINE) -> list[list[int]]:
     """For each moment v, the ascending indices of the moments w with
-    `temporal_successor(v, w)`.  The moments are grouped by (M, w.label & M)
-    for each M among their root patterns (M, V), so the group keyed by v's
-    pattern holds the w whose roots may follow v's (none if it is None).
-    A one-node v takes that group as its row, shared; a v with children
-    keeps the w in it for which each child of v is followed by some
-    submoment of w.  The deadline is checked once per row."""
-    patterns = [v.sigma.pattern_of(v.label) for v in moments]
-    groups: dict[tuple[int, int] | None, list[int]] = {}
-    for care in {p[0] for p in patterns if p is not None}:
-        for j, w in enumerate(moments):
-            groups.setdefault((care, w.label & care), []).append(j)
-    rows = []
-    for v, pattern in zip(moments, patterns):
-        deadline.check("successor construction")
-        group = groups.get(pattern, [])
-        rows.append([j for j in group if all(any(_successor(c, t) for t in moments[j].subtrees())
-                                             for c in v.children)] if v.children else group)
-    return rows
+    `temporal_successor(v, w)`, read off `_successor_masks` with the
+    moments as both sources and targets.  Moments with equal masks share
+    one row list."""
+    masks = _successor_masks(moments, moments, deadline)
+    rows: dict[int, list[int]] = {}
+    for mask in masks:
+        if mask not in rows:
+            rows[mask] = row = []
+            while mask:
+                row.append(_lowest(mask))
+                mask &= mask - 1
+    return [rows[mask] for mask in masks]
 
 
 def _rows(n: int, edges) -> tuple[tuple[int, ...], ...]:

@@ -377,3 +377,18 @@ def test_formulas_deeper_than_the_recursion_limit():
     assert format_formula(chain) == "X" * levels + "p"
     assert godel_tarski(chain) == "X" * levels + "*p"
     assert eliminate_exists(chain) is chain and fragment_of(chain) == {Modality.NEXT}
+
+
+def test_printing_caches_only_the_text_asked_for():
+    # each subformula of an X chain has a text as long as its depth, so
+    # caching them all would keep the square of the depth alive
+    levels = 5000
+    chain = Atom("deep")
+    for _ in range(levels):
+        chain = Next(chain)
+    assert str(chain) == "X" * levels + "deep"
+    assert sum(len(getattr(g, "_text", "")) for g in subformulas(chain)) <= 2 * levels
+    # a context's texts are read again by every certificate, so they stay cached
+    f = parse("X(zz -> <>zz)")
+    sigma = itlc.subformula_closure(f)
+    assert all(getattr(g, "_text", None) == t for g, t in zip(sigma.formulas, sigma.texts))

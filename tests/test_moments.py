@@ -390,19 +390,33 @@ def test_successor_fixpoint_matches_brute_force(text):
 
 
 # the universes of the test above, one whose root patterns (M, V) take two
-# masks M, and one where a label with <>p but neither p nor X<>p has none
+# masks M, one where a label with <>p but neither p nor X<>p has none, and
+# one of height 3 where XXp pins p two steps on, so a child's row is read
+# through the up sets of its own children
 @pytest.mark.parametrize("text, max_nodes", [("X p", 4), ("<>p", 4), ("X p -> p", 3),
-                                             ("A<>p -> (X ~p <-> ~X p)", 2), ("X<>p", 3)])
+                                             ("A<>p -> (X ~p <-> ~X p)", 2), ("X<>p", 3),
+                                             ("XX p", 3)])
 def test_successor_rows_match_the_pairwise_relation(text, max_nodes):
     sigma = subformula_closure(parse(text))
     universe = all_moments_upto(sigma, max_nodes)
-    assert _successor_lists(universe) == [[j for j, w in enumerate(universe)
-                                           if temporal_successor(v, w)] for v in universe]
+    rows = [[j for j, w in enumerate(universe) if successor_oracle(v, w)] for v in universe]
+    assert _successor_lists(universe) == rows
+    assert [[j for j, w in enumerate(universe) if temporal_successor(v, w)]
+            for v in universe] == rows
     patterns = [sigma.successor_pattern(m.label) for m in universe]
     if text == "X<>p":
         assert any(p is None and m.children for p, m in zip(patterns, universe))
     if text.startswith("A"):
         assert len({p[0] for p in patterns if p is not None}) > 1
+    if text == "XX p":
+        assert max(m.height for m in universe) == 3
+
+
+def test_successor_construction_keeps_the_deadline():
+    sigma = subformula_closure(parse("(X p -> X q) -> X(p -> q)"))
+    carrier = enumerate_irreducibles(sigma, itlc.Caps(max_moments=300)).moments
+    with pytest.raises(itlc.CapExceeded, match="^successor construction passed "):
+        _successor_lists(carrier, itlc.config.Deadline(0))
 
 
 def test_forward_confluence_exhaustive():
