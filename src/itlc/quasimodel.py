@@ -24,7 +24,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .config import Caps, DEFAULT_CAPS, NO_DEADLINE, Deadline
 from .errors import (CapExceeded, FragmentError, InvariantViolation,
@@ -110,9 +111,9 @@ class Lasso(NamedTuple):
 def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
     """Re-check every structural condition, naming the first failure;
     each eventuality's body is searched back from once, by `reach_back`
-    along the inverted rows.  Sensibility and confluence take
-    O(edges + Σ submoments) operations on rows as integer bitsets, in place
-    of one set probe per edge per submoment of its source."""
+    along the inverted rows.  Each distinct row object is checked and made
+    a bitset once, and reported at the first world holding it; sensibility
+    is one mask test per world, confluence one AND per submoment."""
     sigma = q.sigma
     if not q.worlds:
         return Check(False, "no worlds")
@@ -139,22 +140,23 @@ def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
     # allowed[p]: the worlds whose labels may follow a label of pattern p;
     # reach_up[a2]: the worlds with a submoment in a2's row
     allowed: dict[tuple[int, int] | None, int] = {None: 0}
-    bits, reach_up = [], []
+    read: dict[int, tuple[int, int]] = {}  # by the id of a row: its bitset and reach_up
     for a, row in enumerate(rows):
         deadline.check("certificate verification")
-        if not all(0 <= b < n for b in row):
-            return Check(False, f"world {a} has a successor out of range")
-        if any(b >= c for b, c in zip(row, row[1:])):
-            return Check(False, f"successors of world {a} are not strictly ascending")
+        if id(row) not in read:
+            if not all(0 <= b < n for b in row):
+                return Check(False, f"world {a} has a successor out of range")
+            if any(b >= c for b, c in zip(row, row[1:])):
+                return Check(False, f"successors of world {a} are not strictly ascending")
+            read[id(row)] = (sum(1 << b for b in row), reduce(or_, (above[t] for t in row), 0))
         pattern = sigma.pattern_of(q.worlds[a].label)
         if pattern not in allowed:
             allowed[pattern] = sum(ws for label, ws in with_label.items()
                                    if label & pattern[0] == pattern[1])
-        bits.append(sum(1 << b for b in row))
-        reach_up.append(reduce(or_, (above[t] for t in row), 0))
-        stray = bits[a] & ~allowed[pattern]
+        stray = read[id(row)][0] & ~allowed[pattern]
         if stray:
             return Check(False, f"edge ({a},{_lowest(stray)}) is not sensible")
+    bits, reach_up = zip(*(read[id(row)] for row in rows))
     for i in range(n):
         if not rows[i]:
             return Check(False, f"world {i} has no successor")
@@ -166,7 +168,7 @@ def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
             a2 = next(idx[sub] for sub in q.worlds[a].subtrees()
                       if not reach_up[idx[sub]] >> b & 1)
             return Check(False, f"edge ({a},{b}) not confluent below world {a2}")
-    preds = _inverse(rows)
+    preds = _inverse(rows) if sigma.ev_pairs else []  # read only for eventualities
     found = {fb: reach_back([v for v in range(n) if q.worlds[v].label >> fb & 1],
                             preds.__getitem__, deadline, "certificate verification")
              for _, fb in sigma.ev_pairs}
@@ -226,8 +228,8 @@ def _prune(sigma: SigmaContext, moments, mask: int, order=None,
            deadline: Deadline = NO_DEADLINE) -> Quasimodel:
     """`prune_profile` under a deadline, taking `order` as given; the survivors'
     rows, renumbered and so still ascending, become the result's successors.
-    Each distinct row list is renumbered once, so rows the carrier shares
-    stay shared; when nothing was dropped, the rows are copied unchanged."""
+    Each distinct row is renumbered once, so rows the carrier shares stay
+    shared; when nothing was dropped, the rows are kept unchanged."""
     carrier = tuple(sorted({m for m in moments
                             if all(profile_compatible(sigma, mask, l) for l in m.node_labels())},
                            key=lambda m: m.key))
@@ -252,37 +254,50 @@ def _prune(sigma: SigmaContext, moments, mask: int, order=None,
                                deadline, "profile pruning")
             alive -= {i for i in alive if carrier[i].label >> fi & 1 and i not in found}
     renumber = {i: k for k, i in enumerate(sorted(alive))}
-    renumbered: dict[int, tuple[int, ...]] = {}  # by the id of a row list
+    renumbered: dict[int, tuple[int, ...]] = {}  # by the id of a row
     for i in renumber:
         if id(succ[i]) not in renumbered:
-            renumbered[id(succ[i])] = (tuple(succ[i]) if len(renumber) == len(carrier) else
+            renumbered[id(succ[i])] = (succ[i] if len(renumber) == len(carrier) else
                                        tuple(renumber[j] for j in succ[i] if j in renumber))
     return Quasimodel(sigma, tuple(carrier[i] for i in renumber),
                       tuple(renumbered[id(succ[i])] for i in renumber), mask)
 
 
-def _successor_lists(moments, deadline: Deadline = NO_DEADLINE) -> list[list[int]]:
+def _successor_lists(moments, deadline: Deadline = NO_DEADLINE) -> list[tuple[int, ...]]:
     """For each moment v, the ascending indices of the moments w with
     `temporal_successor(v, w)`, read off `_successor_masks` with the
     moments as both sources and targets.  Moments with equal masks share
-    one row list."""
-    masks = _successor_masks(moments, moments, deadline)
-    rows: dict[int, list[int]] = {}
+    one row."""
+    return _mask_rows(_successor_masks(moments, moments, deadline))
+
+
+def _mask_rows(masks) -> list[tuple[int, ...]]:
+    """For each bitmask, the ascending indices of its set bits; equal masks
+    share one row tuple."""
+    rows: dict[int, tuple[int, ...]] = {}
     for mask in masks:
         if mask not in rows:
-            rows[mask] = row = []
-            while mask:
-                row.append(_lowest(mask))
-                mask &= mask - 1
+            row, rest = [], mask
+            while rest:
+                row.append(_lowest(rest))
+                rest &= rest - 1
+            rows[mask] = tuple(row)
     return [rows[mask] for mask in masks]
 
 
-def _rows(n: int, edges) -> tuple[tuple[int, ...], ...]:
-    """The ascending successor rows of n worlds joined by the index pairs."""
-    rows: list[set[int]] = [set() for _ in range(n)]
-    for a, b in edges:
-        rows[a].add(b)
-    return tuple(tuple(sorted(row)) for row in rows)
+def _edge_rows(n: int, edges, remap: dict) -> tuple[tuple[int, ...], ...]:
+    """The ascending rows of n worlds joined by `edges`, pairs of ids that
+    remap numbers, each pair read once into its source's bitmask; equal rows
+    share one tuple.  The first pair naming no world, as `_world` reads ids,
+    raises KeyError(pair)."""
+    masks = [0] * n
+    for pair in edges:
+        a, b = pair
+        if (a.__class__ is bool or (source := remap.get(a)) is None
+                or b.__class__ is bool or (target := remap.get(b)) is None):
+            raise KeyError(pair)
+        masks[source] |= 1 << target
+    return tuple(_mask_rows(masks))
 
 
 def _lowest(mask: int) -> int:
@@ -421,7 +436,10 @@ class Certificate:
     target: Formula
     quasimodel: Quasimodel
     witness: int
-    lassos: dict[int, Lasso]
+    lassos: Mapping[int, Lasso]
+
+    def __post_init__(self) -> None:  # read-only, so the cached JSON form stays current
+        object.__setattr__(self, "lassos", MappingProxyType(dict(self.lassos)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -432,21 +450,31 @@ class Certificate:
                        for i, l in sorted(self.lassos.items())},
         }
 
+    @cached_property
+    def _json(self) -> dict:  # read, never changed, by verification and the writers
+        return self.to_json_dict()
+
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(self._json, indent=2)
 
 
-def _moment_from_json(sigma: SigmaContext, data, where: str) -> Moment:
+def _moment_from_json(sigma: SigmaContext, data, where: str,
+                      built: dict[tuple, Moment]) -> Moment:
+    """The validated moment a JSON object describes; built holds those of one
+    certificate by label and children, so a repeated subtree is checked once."""
     if not isinstance(data, dict) or "label" not in data or "children" not in data:
         raise SchemaError(f"{where}: moment object needs 'label' and 'children'")
-    mask = 0
+    mask, size = 0, len(sigma)
     for i in data["label"]:
-        if type(i) is not int or not 0 <= i < len(sigma):  # JSON true is no index
+        if type(i) is not int or not 0 <= i < size:  # JSON true is no index
             raise SchemaError(f"{where}.label: bad index {i!r}")
         mask |= 1 << i
-    kids = [_moment_from_json(sigma, c, f"{where}.children[{k}]")
-            for k, c in enumerate(data["children"])]
-    return moment(sigma, mask, kids, validate=True)
+    key = (mask, tuple(_moment_from_json(sigma, c, f"{where}.children[{k}]", built)
+                       for k, c in enumerate(data["children"])))
+    m = built.get(key)
+    if m is None:
+        m = built[key] = moment(sigma, mask, key[1], validate=True)
+    return m
 
 
 def certificate_from_json(data: dict, target: Formula) -> Certificate:
@@ -464,7 +492,8 @@ def verify_certificate(cert, target: Formula, deadline: Deadline = NO_DEADLINE) 
     target formula, every world is revalidated as a moment, the listed
     order is recomputed, and the edge, honesty, witness and lasso
     conditions are all checked directly.  A deadline that passes raises
-    CapExceeded.
+    CapExceeded.  It reads each listed edge once, and checks each distinct
+    moment and each distinct successor row once.
     """
     outcome = _decode(cert, target, deadline)
     return outcome if isinstance(outcome, Check) else Check(True)
@@ -474,7 +503,7 @@ def _decode(cert, target: Formula,
             deadline: Deadline = NO_DEADLINE) -> Check | Certificate:
     """The certificate rebuilt over canonical world indices, or a failed
     Check naming the first violated condition."""
-    data = cert.to_json_dict() if isinstance(cert, Certificate) else cert
+    data = cert._json if isinstance(cert, Certificate) else cert
     try:
         return _verify(data, target, deadline)
     except CapExceeded:
@@ -498,6 +527,9 @@ def _least_lengths(formulas) -> dict[Formula, int]:
 
 def _verify(data: dict, target: Formula,
             deadline: Deadline = NO_DEADLINE) -> Check | Certificate:
+    """`_decode`'s work, raising on malformed data.  Each edge is read once into its
+    source's bitmask, and equal masks become one row tuple, which
+    `check_quasimodel` reads once; the first faulty edge listed is reported."""
     # a text equal to the one printed here needs no parse: parse(format_formula(f)) == f;
     # texts shorter than the least printed lengths are parsed without printing
     text = data["target"]
@@ -528,10 +560,11 @@ def _verify(data: dict, target: Formula,
     if len(set(ids)) != len(ids):
         return Check(False, "duplicate world ids")
     by_id = {}
+    built: dict[tuple, Moment] = {}
     for w in data["worlds"]:
         deadline.check("certificate verification")
         try:
-            by_id[w["id"]] = _moment_from_json(sigma, w["moment"], f"worlds[{w['id']}]")
+            by_id[w["id"]] = _moment_from_json(sigma, w["moment"], f"worlds[{w['id']}]", built)
         except ItlcError as err:
             return Check(False, f"world is not a moment: {err}")
     if len(set(by_id.values())) != len(by_id):
@@ -540,14 +573,11 @@ def _verify(data: dict, target: Formula,
     worlds = tuple(sorted(by_id.values(), key=lambda m: m.key))
     idx = {m: i for i, m in enumerate(worlds)}
     remap = {wid: idx[m] for wid, m in by_id.items()}
-    edges = set()
-    for pair in deadline.every(data["s_edges"], "certificate verification"):
-        a, b = pair
-        try:
-            edges.add((_world(remap, a), _world(remap, b)))
-        except KeyError:
-            return Check(False, f"edge {pair} references an unknown world")
-    q = Quasimodel(sigma, worlds, _rows(len(worlds), edges), profile)
+    edges = deadline.every(data["s_edges"], "certificate verification")
+    try:
+        q = Quasimodel(sigma, worlds, _edge_rows(len(worlds), edges, remap), profile)
+    except KeyError as err:
+        return Check(False, f"edge {err.args[0]} references an unknown world")
 
     listed_order = {(_world(remap, a), _world(remap, b)) for a, b in data["order"]}
     if listed_order != set(q.order_pairs()):
@@ -593,7 +623,7 @@ def _world(remap: dict, wid) -> int:
 
 def save_certificate(cert: Certificate, path) -> None:
     """Write the canonical JSON form; bit-exact across runs."""
-    write_json(path, cert.to_json_dict())
+    write_json(path, cert._json)
 
 
 def load_certificate(path, target: Formula) -> Certificate:
@@ -771,8 +801,7 @@ def _generated(q: Quasimodel, seeds: list[int], deadline: Deadline
     kept = sorted(lassos)
     renumber = {i: k for k, i in enumerate(kept)}
     shrunk = Quasimodel(q.sigma, tuple(q.worlds[i] for i in kept),
-                        _rows(len(kept), ((renumber[a], renumber[b]) for a, b in edges)),
-                        q.profile)
+                        _edge_rows(len(kept), edges, renumber), q.profile)
     return shrunk, renumber, {k: Lasso(*(tuple(renumber[j] for j in part) for part in lassos[i]))
                               for k, i in enumerate(kept)}
 
@@ -850,7 +879,7 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
         if not any((worlds[j], y) in alive for j in succ[idx[m]]):
             raise InvariantViolation("simulation is not dynamic")
 
-    q = Quasimodel(sigma, worlds, tuple(map(tuple, succ)),
+    q = Quasimodel(sigma, worlds, tuple(succ),
                    worlds[0].label & sigma.forall_mask if worlds else 0)
     confirmed = check_quasimodel(q)
     if not confirmed:

@@ -400,7 +400,7 @@ def test_successor_rows_match_the_pairwise_relation(text, max_nodes):
     sigma = subformula_closure(parse(text))
     universe = all_moments_upto(sigma, max_nodes)
     rows = [[j for j, w in enumerate(universe) if successor_oracle(v, w)] for v in universe]
-    assert _successor_lists(universe) == rows
+    assert list(map(list, _successor_lists(universe))) == rows
     assert [[j for j, w in enumerate(universe) if temporal_successor(v, w)]
             for v in universe] == rows
     patterns = [sigma.successor_pattern(m.label) for m in universe]

@@ -340,6 +340,34 @@ def test_certificate_round_trip(tmp_path, flagship):
     assert loaded.to_json_text() == verdict.certificate.to_json_text()
 
 
+def test_certificate_json_is_built_once(tmp_path, monkeypatch, flagship):
+    built = []
+    to_json_dict = itlc.quasimodel.Certificate.to_json_dict
+    monkeypatch.setattr(itlc.quasimodel.Certificate, "to_json_dict",
+                        lambda cert: built.append(cert) or to_json_dict(cert))
+    cert = decide(flagship).certificate
+    text = cert.to_json_text()
+    itlc.save_certificate(cert, tmp_path / "cert.json")
+    assert built == [cert]  # verification, printing and saving share one build
+    assert (tmp_path / "cert.json").read_text(encoding="utf-8") == text + "\n"
+    # what to_json_dict hands out is the caller's to change
+    data = cert.to_json_dict()
+    data["worlds"].clear()
+    data["lassos"]["0"]["loop"].append(5)
+    assert cert.to_json_text() == text
+    # nor can its lassos change under the cached form
+    with pytest.raises(TypeError):
+        cert.lassos[0] = cert.lassos[1]
+    assert verify_certificate(cert, flagship) and cert.to_json_text() == text
+
+
+def test_verify_reports_a_missing_top_level_key(flagship):
+    full = decide(flagship).certificate.to_json_dict()
+    for key in full:
+        data = {k: v for k, v in full.items() if k != key}
+        assert verify_certificate(data, flagship).reason == f"malformed certificate: {key!r}"
+
+
 def test_verify_rejects_tampered_witness(flagship, flagship_sigma):
     cert = decide(flagship).certificate
     data = cert.to_json_dict()
@@ -441,6 +469,90 @@ def test_verify_honours_an_expired_deadline(flagship):
     cert = decide(flagship).certificate
     with pytest.raises(itlc.CapExceeded, match="certificate verification"):
         verify_certificate(cert, flagship, itlc.config.Deadline(0))
+
+
+CERTS = pathlib.Path(__file__).parent.parent / "perfbench" / "data" / "certs.json"
+DENSE = "p1 | p2 | p3 | p4 | p5 | p6 -> p1"
+
+
+def _stored(formula):
+    """The target and the stored certificate of one certs.json entry."""
+    entries = json.loads(CERTS.read_text(encoding="utf-8"))
+    return parse(formula), next(e["certificate"] for e in entries if e["formula"] == formula)
+
+
+@pytest.fixture(scope="module")
+def dense():
+    # 64 one-node worlds, every one a successor of every one: 64 equal rows
+    target, cert = _stored(DENSE)
+    assert (len(cert["worlds"]), len(cert["s_edges"])) == (64, 4096)
+    return target, cert
+
+
+def _edges_reason(dense, *inserts):
+    """The verifier's reason once each (position, pair) is inserted into the
+    dense certificate's edge list, in turn."""
+    target, cert = dense
+    data = copy.deepcopy(cert)
+    for at, pair in inserts:
+        data["s_edges"].insert(at, pair)
+    return verify_certificate(data, target).reason
+
+
+def test_dense_certificate_reports_the_first_faulty_edge(dense):
+    assert _edges_reason(dense, (2000, [5, 64])) == "edge [5, 64] references an unknown world"
+    # True == 1 names world 1 as a key, but JSON true names no world
+    assert (_edges_reason(dense, (1000, [3, True]), (3000, [1, 2, 3]))
+            == "edge [3, True] references an unknown world")
+    assert (_edges_reason(dense, (1000, [True, 3]), (3000, [1]))
+            == "edge [True, 3] references an unknown world")
+    assert (_edges_reason(dense, (1000, [1, 2, 3]), (3000, [0, 64]))
+            == "malformed certificate: too many values to unpack (expected 2)")
+    assert (_edges_reason(dense, (1000, [0, 64]), (3000, [1, 2, 3]))
+            == "edge [0, 64] references an unknown world")
+    # within a pair, its source is read first
+    assert (_edges_reason(dense, (10, [[0], True]))
+            == "malformed certificate: unhashable type: 'list'")
+    assert _edges_reason(dense, (10, [64, [0]])) == "edge [64, [0]] references an unknown world"
+
+
+def test_dense_certificate_takes_repeated_and_shuffled_edges(dense):
+    target, cert = dense
+    assert _edges_reason(dense, (4096, [7, 9]), (0, [63, 0])) is None
+    data = copy.deepcopy(cert)
+    random.Random(30).shuffle(data["s_edges"])
+    assert verify_certificate(data, target)
+    # the 64 equal rows are one tuple
+    rows = itlc.quasimodel.certificate_from_json(data, target).quasimodel.successors
+    assert len(rows) == 64 and len({id(row) for row in rows}) == 1
+
+
+def test_verify_names_the_first_world_holding_a_bad_nested_label():
+    target, cert = _stored("X ~p <-> ~X p")
+
+    def spoiled(worlds):
+        # every nested copy of the moment with this label gains index 99
+        data = copy.deepcopy(cert)
+        data["worlds"] = worlds(data["worlds"])
+        stack = [c for w in data["worlds"] for c in w["moment"]["children"]]
+        while stack:
+            m = stack.pop()
+            if m == {"label": [0, 4, 6, 7, 8], "children": []}:
+                m["label"].append(99)
+            stack.extend(m["children"])
+        return verify_certificate(data, target).reason
+
+    # 38 worlds hold it, the first of them in list order is named
+    assert spoiled(list) == "world is not a moment: worlds[0].children[2].label: bad index 99"
+    assert (spoiled(lambda ws: ws[::-1])
+            == "world is not a moment: worlds[69].children[0].label: bad index 99")
+
+
+def test_dense_fixture_is_the_stored_certificate(dense):
+    fixtures = pathlib.Path(__file__).parent.parent / "fixtures"
+    assert json.loads((fixtures / "dense-cert.json").read_text(encoding="utf-8")) == dense[1]
+    with_true = json.loads((fixtures / "dense-cert-bool.json").read_text(encoding="utf-8"))
+    assert [e for e in with_true["s_edges"] if bool in map(type, e)] == [[31, True]]
 
 
 def test_timeout_bounds_the_profile_outcome_list():
@@ -756,6 +868,22 @@ def test_check_quasimodel_checks_the_deadline_once_per_world_in_every_loop():
     assert Counting.checks >= 3 * len(q.worlds)
 
 
+def test_check_quasimodel_reports_a_shared_faulty_row_at_its_first_world():
+    from oracles import structure_oracle
+
+    sigma = subformula_closure(parse(DENSE))
+    q = prune_profile(enumerate_irreducibles(sigma), 0)
+    assert len({id(row) for row in q.successors}) == 1
+    row = q.successors[0]
+    for bad, reason in ((row[:-1] + (64,), "world 5 has a successor out of range"),
+                        (row[::-1], "successors of world 5 are not strictly ascending")):
+        # one faulty row object, held by worlds 5, 9 and 40
+        rows = tuple(bad if a in (5, 9, 40) else row for a in range(64))
+        faulty = Quasimodel(sigma, q.worlds, rows, q.profile)
+        assert (check_quasimodel(faulty) == structure_oracle(faulty)
+                == itlc.quasimodel.Check(False, reason))
+
+
 @pytest.mark.parametrize("text", ["(X p -> X q) -> X(p -> q)", "E(X(p -> q) | XXp)"])
 def test_small_countermodels_are_found_before_the_moment_cap(text):
     start = time.perf_counter()
@@ -930,19 +1058,18 @@ def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system
 
 
 def test_label_viability_keeps_its_timeout():
-    # a depth-7 draw (|Σ| 29) whose empty profile keeps the viability
-    # fixpoint busy for over half a second even with the bits it pins:
-    # every loop over types checks the deadline once per 256 types.  It has
-    # a one-world countermodel, so decide is given it with a disjunct that
-    # holds at every one-world label; the empty profile of that (|Σ| 35)
-    # keeps the fixpoint busy for over 20 s
+    # a depth-7 draw (|Σ| 29) has a one-world countermodel, so decide is
+    # given it with a disjunct that holds at every one-world label; the
+    # empty profile of that (|Σ| 35) keeps the viability fixpoint busy for
+    # over 3 s even with the bits it pins, on hosts fast or slow: every
+    # loop over types checks the deadline once per 256 types
     f = parse("XX((EXp | E~r) & XX(q | #) & E(<>(r -> q) & ((q -> p) -> <>p)))")
     g = itlc.Or(f, parse("X ~p <-> ~X p"))
     start = time.monotonic()
     assert decide(g, itlc.Caps(timeout=0.3)).kind == "RESOURCE_LIMIT"
     assert time.monotonic() - start < 1.3
 
-    sigma = fragment_context(f)[1]
+    sigma = fragment_context(g)[1]
     start = time.monotonic()
     with pytest.raises(itlc.CapExceeded, match=r"^label viability passed "):
         itlc.viable_types(sigma, 0, itlc.Caps(timeout=0.3).deadline())
