@@ -9,9 +9,9 @@ definitions.  It is deliberately independent of the quasimodel machinery
 so the two can check each other.
 
 Element sets are integer bitmasks internally; the public API speaks in
-element names.  Each evaluate, validity or countermodel call compiles its
-formula once into instructions read off `formula.operand_table` and runs
-them per valuation, with lookup tables built per system for that call.
+element names.  Each model-checking call compiles its formulas once into
+instructions read off `formula.operand_table` and runs them per
+valuation, with lookup tables built per system for that call.
 """
 
 from __future__ import annotations
@@ -263,19 +263,19 @@ _NODE_TYPES = {Bottom, Atom, And, Or, Implies, Next, Eventually, Henceforth, For
 _Program = tuple[tuple[int, type, object, object], ...]
 
 
-def _compile(f: Formula) -> _Program:
-    """Post-order instruction list over the distinct subformulas of f.
+def _compile(formulas) -> _Program:
+    """Instruction list over formulas listed after their operands, such as
+    `subformulas(f)` or a context's formulas.
 
     Instruction i, (i, node type, a, b), is row i of `operand_table` with
-    the atom's name in a: it writes subformula i's truth mask to register i
-    from its operands' registers a and b.  The last one computes f.
+    the atom's name in a: it writes formula i's truth mask to register i
+    from its operands' registers a and b.
     """
-    subs = subformulas(f)
-    table = operand_table(subs, {g: i for i, g in enumerate(subs)}.__getitem__)
+    table = operand_table(formulas, {g: i for i, g in enumerate(formulas)}.__getitem__)
     if unknown := {op for op, _, _ in table} - _NODE_TYPES:
-        raise TypeError(f"unknown formula node {next(g for g in subs if type(g) in unknown)!r}")
+        raise TypeError(f"unknown formula node {next(g for g in formulas if type(g) in unknown)!r}")
     return tuple([(i, op, g.name if op is Atom else a, b)
-                  for i, (g, (op, a, b)) in enumerate(zip(subs, table))])
+                  for i, (g, (op, a, b)) in enumerate(zip(formulas, table))])
 
 
 def _atoms(program: _Program) -> list[str]:
@@ -323,20 +323,30 @@ def _valuation_masks(X: FiniteSystem, valuation) -> dict[str, int]:
     return out
 
 
+def truth_masks(X: FiniteSystem, valuation, formulas) -> dict[int, int]:
+    """The register file of one run over formulas listed after their
+    operands: register i holds the truth mask of formulas[i] on X."""
+    masks = _valuation_masks(X, valuation)
+    program = _compile(formulas)
+    for atom in _atoms(program):
+        if atom not in masks:
+            raise KeyError(f"no valuation for atom {atom!r}")
+    registers: dict[int, int] = {}
+    _evaluate_mask(_Tables(X), masks, program, registers)
+    return registers
+
+
 def evaluate(X: FiniteSystem, valuation, f: Formula) -> frozenset[str]:
     """Truth set of a formula; always a downward closed set of elements.
 
     Implication relativizes to the cone below each point, next is the
     map preimage, eventually and henceforth are the least and greatest
     fixpoints of their unfoldings, and the quantifiers compare against
-    the whole space.
+    the whole space.  Read off the last register of `truth_masks` over
+    the subformulas.
     """
-    masks = _valuation_masks(X, valuation)
-    program = _compile(f)
-    for atom in _atoms(program):
-        if atom not in masks:
-            raise KeyError(f"no valuation for atom {atom!r}")
-    return X.names_of(_evaluate_mask(_Tables(X), masks, program, {}))
+    registers = truth_masks(X, valuation, subformulas(f))
+    return X.names_of(registers[len(registers) - 1])
 
 
 def open_masks(X: FiniteSystem) -> list[int]:
@@ -370,7 +380,7 @@ def _falsifying(X: FiniteSystem, program: _Program, atoms: list[str], caps: Caps
 
 def is_valid_on_system(X: FiniteSystem, f: Formula, caps: Caps = DEFAULT_CAPS) -> bool:
     """Whether the formula holds everywhere under every open valuation."""
-    program = _compile(f)
+    program = _compile(subformulas(f))
     return _falsifying(X, program, _atoms(program), caps, caps.deadline(),
                        "validity check") is None
 
@@ -526,7 +536,7 @@ def find_countermodel(f: Formula, max_points: int,
     timeout trip as the search reaches them; max_valuations bounds the
     valuations of each system evaluated."""
     deadline = caps.deadline()
-    program = _compile(f)
+    program = _compile(subformulas(f))
     atoms = _atoms(program)
     examined = 0
     for n in range(1, max_points + 1):

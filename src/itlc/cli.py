@@ -239,16 +239,15 @@ def _cmd_extract(args) -> int:
     X, valuation = _valued_system(args.system, f)
     reduced, sigma = quasimodel.fragment_context(f)
     q = quasimodel.extract_quasimodel(X, valuation, sigma, _caps(args))
-    payload = q.to_json_dict()
-    payload["falsified"] = [format_formula(f) for f in quasimodel.falsified_members(q)]
+    falsified = quasimodel.falsified_members(q)
+    payload = q.to_json_dict() | {"falsified": [format_formula(f) for f in falsified]}
     if args.out:
         write_json(args.out, payload)
     if args.format == "dot":
         _emit(_quasimodel_dot(q))
     else:
         _emit(json.dumps(payload, indent=2))
-    falsifies = any(not m.label >> sigma.index[reduced] & 1 for m in q.worlds)
-    return EXIT_FOUND if falsifies else EXIT_OK
+    return EXIT_FOUND if reduced in falsified else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

@@ -52,11 +52,12 @@ class Formula:
     copied or unpickled.  Equality and hashing are identity, with no
     cached hash and no equality walk, and '<->' shares its operands
     without extra work.  Keywords name the operands, as in
-    `And(left=p, right=q)`.  A node's printed text is cached on it and is
-    no dataclass field: repr, pickling and copying see only the operands.
+    `And(left=p, right=q)`.  A node's printed text and its child tuple
+    (`children`) are kept on it and are no dataclass fields: repr,
+    pickling and copying see only the operands.
     """
 
-    __slots__ = ("_text", "__weakref__")
+    __slots__ = ("_text", "_children", "__weakref__")
 
     def __new__(cls, *operands, **named):
         if named:  # keywords fill the operands after the positional ones
@@ -71,6 +72,7 @@ class Formula:
                 node = _NODES[key] = object.__new__(cls)
                 for name, value in zip(cls.__match_args__, operands):
                     object.__setattr__(node, name, value)
+                object.__setattr__(node, "_children", () if cls is Atom else operands)
         return node
 
     def __reduce__(self):
@@ -162,11 +164,7 @@ _UNARY = {Next: Modality.NEXT, Eventually: Modality.EVENTUALLY,
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (And, Or, Implies)):
-        return (f.left, f.right)
-    if isinstance(f, (Next, Eventually, Henceforth, Forall, Exists)):
-        return (f.body,)
-    return ()
+    return f._children
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ exactly when no child folds into a sibling's submoments.
 The successor relation between moments holds when some node-level
 relation pairs the roots, relates only sensible label pairs, and is
 forward confluent over the tree orders.  Every row of it over a set of
-targets is computed at once, as bitsets, bottom up over the submoments
-of the sources (`_successor_masks`).
+targets is computed at once, as bitsets, by `_lift`, the one pass bottom
+up over submoments, which also simulates a finite model's points.
 """
 
 from __future__ import annotations
@@ -190,19 +190,14 @@ def _successor_masks(sources, targets, deadline: Deadline = NO_DEADLINE) -> list
     """For each source v, the mask of the distinct targets that can follow
     it: bit j is set when `temporal_successor(v, targets[j])`.
 
-    One pass bottom up over the submoments of the sources, on bitsets over
-    the universe of the targets (bit j is targets[j]) and their
-    submoments.  A submoment x is followed by the moments of
-
-        follow(x) = fit(x) & AND over the children c of x of up(follow(c)),
-
-    where fit(x) holds the moments whose root labels may follow x's, that
-    is those with label & M == V for x's successor pattern (M, V), and
-    up(S) is the union of above[u] over u in S, above[u] holding the
-    moments with u among their submoments.  Each up(S) is built once per
-    call.  The deadline is checked on every 256th step of the loops that
-    collect the universe, above, the submoments of the sources and the fit
-    masks, and once per submoment of a source.
+    `_lift` over the submoments of the sources, on bitsets over the
+    universe of the targets (bit j is targets[j]) and their submoments:
+    fit(x) holds the moments whose root labels may follow x's, those with
+    label & M == V for x's successor pattern (M, V), and above[u] the
+    moments with u among their submoments.  The deadline is checked on
+    every 256th step of the loops that collect the universe, above, the
+    submoments of the sources and the fit masks, and once per submoment
+    of a source.
     """
     what = "successor construction"
     index = {w: j for j, w in enumerate(targets)}
@@ -225,11 +220,24 @@ def _successor_masks(sources, targets, deadline: Deadline = NO_DEADLINE) -> list
         for label, members in deadline.every(with_label.items(), what):
             key = (care, label & care)
             fit[key] = fit.get(key, 0) | members
+    follow = _lift(nodes, [fit.get(x.sigma.pattern_of(x.label), 0) for x in nodes],
+                   above, deadline, what)
+    everything = (1 << len(targets)) - 1
+    return [follow[v] & everything for v in sources]
+
+
+def _lift(nodes, fits, above: list[int], deadline: Deadline, what: str) -> dict[Moment, int]:
+    """One pass bottom up over moments listed children first, each paired
+    with its fit mask in fits, on bitsets over a universe:
+
+        follow(x) = fit(x) & AND over the children c of x of up(follow(c)),
+
+    where up(S), the union of above[u] over the bits u of S, is built once
+    per S.  Checks the deadline, under what, once per node."""
     ups: dict[int, int] = {}
     follow: dict[Moment, int] = {}
-    for x in nodes:
+    for x, mask in zip(nodes, fits):
         deadline.check(what)
-        mask = fit.get(x.sigma.pattern_of(x.label), 0)
         for c in x.children:
             s = follow[c]
             up = ups.get(s)
@@ -237,8 +245,7 @@ def _successor_masks(sources, targets, deadline: Deadline = NO_DEADLINE) -> list
                 up = ups[s] = _union(above, s)
             mask &= up
         follow[x] = mask
-    everything = (1 << len(targets)) - 1
-    return [follow[v] & everything for v in sources]
+    return follow
 
 
 def _union(masks: list[int], s: int) -> int:
@@ -417,6 +424,7 @@ class _Generation:
                     return fresh
         except CapExceeded as err:
             self.tripped = err
+            self.count = len(self.accepted)  # the cut layer reaches no caller
             return []
 
     def _next_layer(self) -> list[Moment]:

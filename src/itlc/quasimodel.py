@@ -34,7 +34,7 @@ from .formula import (Bottom, Forall, Formula, Henceforth, children, eliminate_e
                       format_formula, parse, subformulas)
 from .labels import (SigmaContext, one_world_label, profile_compatible, profile_masks,
                      reach_back, subformula_closure, viable_types)
-from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _successor_masks,
+from .moments import (Moment, MomentStore, _Generation, _SizeGeneration, _lift, _successor_masks,
                       below, check_kit, moment)
 
 
@@ -819,11 +819,11 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
                        caps: Caps = DEFAULT_CAPS) -> Quasimodel:
     """Project a finite Alexandroff model onto its quasimodel.
 
-    Point labels come from the model checker.  The maximal
-    label-preserving continuous simulation between irreducible moments
-    and points is computed by recursion on the moment: a moment simulates
-    a point carrying its root label when every child simulates some point
-    of the point's minimal neighborhood.
+    Point labels come from one model-checker run over the context.  The
+    maximal label-preserving continuous simulation between irreducible
+    moments and points is `_lift` over the moments, bitsets over the
+    points: a moment simulates a point carrying its root label when every
+    child simulates some point of the point's minimal neighborhood.
     The moments simulating at least one point, with the successor
     relation, form a quasimodel that falsifies exactly the context
     formulas the model falsifies; surjectivity and dynamicity of the
@@ -832,51 +832,33 @@ def extract_quasimodel(system, valuation, sigma: SigmaContext,
     from . import alexandroff
 
     deadline = caps.deadline()
-    point_labels = []
-    truth = {f: alexandroff.evaluate(system, valuation, f) for f in sigma.formulas}
-    for name in system.names:
-        mask = sum(1 << sigma.index[f] for f, members in truth.items() if name in members)
+    registers = alexandroff.truth_masks(system, valuation, sigma.formulas)
+    with_label: dict[int, int] = {}  # point label -> the points carrying it
+    for x, name in enumerate(system.names):
+        mask = sum(1 << i for i, truth in registers.items() if truth >> x & 1)
         if not sigma.is_type_mask(mask):
             raise InvariantViolation(f"point {name} carries a non-type label")
-        point_labels.append(mask)
+        with_label[mask] = with_label.get(mask, 0) | 1 << x
 
-    generation = _Generation(sigma, caps, point_labels, deadline)
+    generation = _Generation(sigma, caps, with_label, deadline)
     while generation.grow():
         pass
     if generation.tripped:
         raise generation.tripped
 
-    n = len(system.names)
-    memo: dict[tuple[Moment, int], bool] = {}
-
-    def simulates(m: Moment, x: int) -> bool:
-        hit = memo.get((m, x))
-        if hit is None:
-            down = system.down[x]
-            hit = m.label == point_labels[x] and all(
-                any(simulates(c, y) for y in range(n) if down >> y & 1) for c in m.children)
-            memo[m, x] = hit
-        return hit
-
-    alive: set[tuple[Moment, int]] = set()
-    for m in generation.snapshot():
-        deadline.check("simulation pruning")
-        alive.update((m, x) for x in range(n) if simulates(m, x))
-    # simulates refers to itself, so the memo and its moments would wait
-    # for the cycle collector; dropping the name frees them now
-    del simulates
-
-    covered = {x for _, x in alive}
-    if covered != set(range(n)):
-        missing = [system.names[x] for x in range(n) if x not in covered]
+    snapshot = generation.snapshot()
+    # children carry larger labels than their parents, so they come later in key order
+    sim = _lift(snapshot[::-1], [with_label.get(m.label, 0) for m in reversed(snapshot)],
+                alexandroff._converse(system.down), deadline, "simulation pruning")
+    covered = reduce(or_, sim.values(), 0)
+    if missing := [name for x, name in enumerate(system.names) if not covered >> x & 1]:
         raise InvariantViolation(f"simulation misses points {missing}")
 
-    worlds = tuple(sorted({m for m, _ in alive}, key=lambda m: m.key))
-    idx = {m: i for i, m in enumerate(worlds)}
+    worlds = tuple(m for m in snapshot if sim[m])
     succ = _successor_lists(worlds, deadline)
-    for m, x in alive:
-        y = system.f[x]
-        if not any((worlds[j], y) in alive for j in succ[idx[m]]):
+    for m, row in zip(worlds, succ):
+        reached = reduce(or_, (sim[worlds[j]] for j in row), 0)
+        if any(sim[m] >> x & 1 and not reached >> y & 1 for x, y in enumerate(system.f)):
             raise InvariantViolation("simulation is not dynamic")
 
     q = Quasimodel(sigma, worlds, tuple(succ),

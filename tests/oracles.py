@@ -11,7 +11,7 @@ from itlc.alexandroff import (Countermodel, FinitePoset, FiniteSystem, _atoms, _
 from itlc.config import DEFAULT_CAPS
 from itlc.errors import CapExceeded, ItlcError, SchemaError
 from itlc.formula import (BOT, And, Atom, Bottom, Eventually, Exists, Forall, Henceforth,
-                          Implies, Next, Or)
+                          Implies, Next, Or, subformulas)
 from itlc.labels import enumerate_types, profile_compatible
 from itlc.moments import check_kit, moment, temporal_successor
 from itlc.quasimodel import Check
@@ -398,7 +398,7 @@ def reference_countermodel(f, max_points, caps=DEFAULT_CAPS):
     copies included: the first hit in canonical order, or CapExceeded once
     more than caps.max_systems systems are reached."""
     deadline = caps.deadline()
-    program = _compile(f)
+    program = _compile(subformulas(f))
     atoms = _atoms(program)
     examined = 0
     for n in range(1, max_points + 1):

@@ -8,9 +8,10 @@ import tracemalloc
 import pytest
 
 import itlc
+from itlc.errors import InvariantViolation
 from itlc.formula import parse
 from itlc.labels import profile_pattern, subformula_closure, type_set
-from itlc.moments import below, enumerate_irreducibles, moment
+from itlc.moments import _Generation, below, enumerate_irreducibles, moment
 from itlc.quasimodel import (Lasso, Quasimodel, _prune, _successor_lists,
                              build_realizing_path, check_quasimodel, complete_path_below,
                              decide, extract_quasimodel, falsified_members,
@@ -1019,6 +1020,52 @@ def test_extract_keeps_the_moments_of_the_largest_simulation(fixture_system):
         pruned += len(kept) < len(store.moments)
         assert extract_quasimodel(X, val, sigma).worlds == tuple(sorted(kept))
     assert pruned > 0
+
+
+# Each invariant extract asserts, reached by breaking one of its inputs.
+
+def test_extract_reports_a_non_type_point_label(monkeypatch, fixture_system):
+    X, val = fixture_system
+    sigma = subformula_closure(parse("X ~p <-> ~X p"))
+    truth_masks = itlc.alexandroff.truth_masks
+
+    def bottom_everywhere(X, valuation, formulas):
+        registers = truth_masks(X, valuation, formulas)
+        registers[sigma.index[parse("#")]] = X.full_mask()
+        return registers
+
+    monkeypatch.setattr(itlc.alexandroff, "truth_masks", bottom_everywhere)
+    with pytest.raises(InvariantViolation, match=r"^point v carries a non-type label$"):
+        extract_quasimodel(X, val, sigma)
+
+
+def test_extract_reports_points_no_moment_simulates(monkeypatch, fixture_system):
+    # without the moments holding z's label anywhere, no moment simulates z
+    X, val = fixture_system
+    sigma = subformula_closure(parse("(X p -> X q) -> X(p -> q)"))
+    registers = itlc.alexandroff.truth_masks(X, val, sigma.formulas)
+    z = X.names.index("z")
+    label = sum(1 << i for i, truth in registers.items() if truth >> z & 1)
+    snapshot = _Generation.snapshot
+    monkeypatch.setattr(_Generation, "snapshot", lambda gen: tuple(
+        m for m in snapshot(gen) if label not in m.node_labels()))
+    with pytest.raises(InvariantViolation, match=r"^simulation misses points \['z'\]$"):
+        extract_quasimodel(X, val, sigma)
+
+
+def test_extract_reports_a_simulation_that_is_not_dynamic(monkeypatch, fixture_system):
+    # the last world has one successor, the only one its points' images reach
+    X, val = fixture_system
+    sigma = subformula_closure(parse("(X p -> X q) -> X(p -> q)"))
+
+    def dropping_the_last(worlds, deadline):
+        rows = _successor_lists(worlds, deadline)
+        assert len(rows[-1]) == 1
+        return rows[:-1] + [()]
+
+    monkeypatch.setattr(itlc.quasimodel, "_successor_lists", dropping_the_last)
+    with pytest.raises(InvariantViolation, match=r"^simulation is not dynamic$"):
+        extract_quasimodel(X, val, sigma)
 
 
 def test_each_call_checks_one_deadline_in_every_loop(monkeypatch, fixture_system):
