@@ -171,10 +171,7 @@ class SigmaContext:
 
     def sensible_masks(self, now: int, nxt: int) -> bool:
         """Whether nxt may follow now, by now's `pattern_of`."""
-        try:
-            pattern = self._patterns[now]
-        except KeyError:
-            pattern = self.pattern_of(now)
+        pattern = self.pattern_of(now)
         return pattern is not None and nxt & pattern[0] == pattern[1]
 
     @cached_property

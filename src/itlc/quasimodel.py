@@ -111,9 +111,11 @@ class Lasso(NamedTuple):
 def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
     """Re-check every structural condition, naming the first failure;
     each eventuality's body is searched back from once, by `reach_back`
-    along the inverted rows.  Each distinct row object is checked and made
-    a bitset once, and reported at the first world holding it; sensibility
-    is one mask test per world, confluence one AND per submoment."""
+    along the inverted rows.  Each world's kit is checked once and every
+    submoment must be a world, so every node is checked.  Each distinct row
+    object is checked and made a bitset once, and reported at the first
+    world holding it; sensibility and the profile are one mask test per
+    world, confluence one AND per submoment."""
     sigma = q.sigma
     if not q.worlds:
         return Check(False, "no worlds")
@@ -184,10 +186,11 @@ def check_quasimodel(q: Quasimodel, deadline: Deadline = NO_DEADLINE) -> Check:
         if everywhere_f != everywhere_b:
             return Check(False, f"labels dishonest about {sigma.texts[fi]}")
     if q.profile is not None:
-        for i, m in enumerate(q.worlds):
-            for label in m.node_labels():
-                if not profile_compatible(sigma, q.profile, label):
-                    return Check(False, f"world {i} disagrees with the profile")
+        # every submoment is a world: a world's node labels are the labels beneath it
+        disagree = reduce(or_, (above[t] for t, m in enumerate(q.worlds)
+                                if not profile_compatible(sigma, q.profile, m.label)), 0)
+        if disagree:
+            return Check(False, f"world {_lowest(disagree)} disagrees with the profile")
     return Check(True)
 
 
@@ -458,10 +461,10 @@ class Certificate:
         return json.dumps(self._json, indent=2)
 
 
-def _moment_from_json(sigma: SigmaContext, data, where: str,
-                      built: dict[tuple, Moment]) -> Moment:
-    """The validated moment a JSON object describes; built holds those of one
-    certificate by label and children, so a repeated subtree is checked once."""
+def _moment_from_json(sigma: SigmaContext, data, where: str) -> Moment:
+    """The moment a JSON object describes, read without checking its kit
+    (`check_quasimodel` checks each world's); only the shape of each node is
+    checked.  The context's intern table makes each distinct subtree one object."""
     if not isinstance(data, dict) or "label" not in data or "children" not in data:
         raise SchemaError(f"{where}: moment object needs 'label' and 'children'")
     mask, size = 0, len(sigma)
@@ -469,12 +472,8 @@ def _moment_from_json(sigma: SigmaContext, data, where: str,
         if type(i) is not int or not 0 <= i < size:  # JSON true is no index
             raise SchemaError(f"{where}.label: bad index {i!r}")
         mask |= 1 << i
-    key = (mask, tuple(_moment_from_json(sigma, c, f"{where}.children[{k}]", built)
-                       for k, c in enumerate(data["children"])))
-    m = built.get(key)
-    if m is None:
-        m = built[key] = moment(sigma, mask, key[1], validate=True)
-    return m
+    return moment(sigma, mask, [_moment_from_json(sigma, c, f"{where}.children[{k}]")
+                                for k, c in enumerate(data["children"])], validate=False)
 
 
 def certificate_from_json(data: dict, target: Formula) -> Certificate:
@@ -489,11 +488,11 @@ def verify_certificate(cert, target: Formula, deadline: Deadline = NO_DEADLINE) 
     """Re-derive the context and re-check every invariant from raw data.
 
     Nothing from the producer is trusted: the context is rebuilt from the
-    target formula, every world is revalidated as a moment, the listed
-    order is recomputed, and the edge, honesty, witness and lasso
-    conditions are all checked directly.  A deadline that passes raises
-    CapExceeded.  It reads each listed edge once, and checks each distinct
-    moment and each distinct successor row once.
+    target formula (so no table `decide` built holds unchecked moments), the
+    listed order is recomputed, every world is revalidated as a moment, and
+    the edge, honesty, witness and lasso conditions are all checked directly.
+    A deadline that passes raises CapExceeded.  It reads each listed edge
+    once, and checks each world's kit and each distinct successor row once.
     """
     outcome = _decode(cert, target, deadline)
     return outcome if isinstance(outcome, Check) else Check(True)
@@ -527,8 +526,9 @@ def _least_lengths(formulas) -> dict[Formula, int]:
 
 def _verify(data: dict, target: Formula,
             deadline: Deadline = NO_DEADLINE) -> Check | Certificate:
-    """`_decode`'s work, raising on malformed data.  Each edge is read once into its
-    source's bitmask, and equal masks become one row tuple, which
+    """`_decode`'s work, raising on malformed data.  Worlds are read by shape
+    only, and `check_quasimodel` checks their kits.  Each edge is read once into
+    its source's bitmask, and equal masks become one row tuple, which
     `check_quasimodel` reads once; the first faulty edge listed is reported."""
     # a text equal to the one printed here needs no parse: parse(format_formula(f)) == f;
     # texts shorter than the least printed lengths are parsed without printing
@@ -560,11 +560,10 @@ def _verify(data: dict, target: Formula,
     if len(set(ids)) != len(ids):
         return Check(False, "duplicate world ids")
     by_id = {}
-    built: dict[tuple, Moment] = {}
     for w in data["worlds"]:
         deadline.check("certificate verification")
         try:
-            by_id[w["id"]] = _moment_from_json(sigma, w["moment"], f"worlds[{w['id']}]", built)
+            by_id[w["id"]] = _moment_from_json(sigma, w["moment"], f"worlds[{w['id']}]")
         except ItlcError as err:
             return Check(False, f"world is not a moment: {err}")
     if len(set(by_id.values())) != len(by_id):

@@ -556,6 +556,70 @@ def test_dense_fixture_is_the_stored_certificate(dense):
     assert [e for e in with_true["s_edges"] if bool in map(type, e)] == [[31, True]]
 
 
+FLAGSHIP = "A(~p | <>p) -> (~<>p | <>p)"
+
+
+def test_verify_checks_each_world_kit_once(monkeypatch):
+    calls = []
+    check_kit = itlc.moments.check_kit
+
+    def counting(*args):
+        calls.append(args)
+        return check_kit(*args)
+
+    # check_quasimodel imports check_kit by name
+    monkeypatch.setattr(itlc.moments, "check_kit", counting)
+    monkeypatch.setattr(itlc.quasimodel, "check_kit", counting)
+    entries = json.loads(CERTS.read_text(encoding="utf-8"))
+    for entry in entries:
+        assert verify_certificate(entry["certificate"], parse(entry["formula"]))
+    assert len(calls) == sum(len(e["certificate"]["worlds"]) for e in entries) == 237
+
+
+def test_nontype_fixture_names_the_world_by_its_canonical_index():
+    target, cert = _stored(FLAGSHIP)
+    fixture = pathlib.Path(__file__).parent.parent / "fixtures" / "flagship-cert-nontype.json"
+    data = json.loads(fixture.read_text(encoding="utf-8"))
+    # with p beside ~p, id 0 sorts after id 1
+    assert verify_certificate(data, target).reason == (
+        "world 1 is not a moment: root label is not a type: {p, ~p, ~p | <>p, A(~p | <>p)}")
+    # world 0 sits under no other world, so the order check passes it
+    assert 0 not in {a for a, _ in cert["order"]}
+    assert data["worlds"][0]["moment"]["label"] == [0, 2, 4, 5]
+    data["worlds"][0]["moment"]["label"] = cert["worlds"][0]["moment"]["label"]
+    assert data == cert
+
+
+def test_verify_refuses_a_nested_copy_that_is_no_world():
+    target, cert = _stored(FLAGSHIP)
+    data = copy.deepcopy(cert)
+    # world 1's copy of world 6 gains p beside ~p: no type and no listed world,
+    # while world 1's own kit still holds
+    data["worlds"][1]["moment"]["children"][1]["label"] = [0, 2, 4, 5, 6, 7, 8]
+    reason = verify_certificate(data, target).reason
+    assert reason == "listed order disagrees with the submoment relation"
+    data["order"].remove([6, 1])
+    assert verify_certificate(data, target).reason == "world 1 has a submoment that is not a world"
+
+
+def test_check_quasimodel_names_the_first_world_with_a_nested_profile_fault(monkeypatch):
+    from oracles import structure_oracle
+
+    sigma = subformula_closure(parse("A p | ~A p"))
+    store = enumerate_irreducibles(sigma, itlc.Caps(max_moments=400))
+    # pruned without the profile filter, the worlds' labels disagree on A p
+    monkeypatch.setattr(itlc.quasimodel, "profile_compatible", lambda *args: True)
+    q = prune_profile(store, 0)
+    monkeypatch.undo()
+    assert check_quasimodel(Quasimodel(sigma, q.worlds, q.successors))
+    for profile in (0, sigma.forall_mask):
+        faulty = Quasimodel(sigma, q.worlds, q.successors, profile)
+        assert (check_quasimodel(faulty) == structure_oracle(faulty)
+                == itlc.quasimodel.Check(False, "world 0 disagrees with the profile"))
+    # under the empty profile world 0's root label agrees: a submoment's does not
+    assert itlc.labels.profile_compatible(sigma, 0, q.worlds[0].label)
+
+
 def test_timeout_bounds_the_profile_outcome_list():
     # 2^15 profiles: printing each one's A-formulas from scratch once took
     # 4.8 s past this 0.5 s timeout.  X ~p <-> ~X p holds at every
