@@ -10,8 +10,8 @@ so the two can check each other.
 
 Element sets are integer bitmasks internally; the public API speaks in
 element names.  Each model-checking call compiles its formulas once into
-instructions read off `formula.operand_table` and runs them per
-valuation, with lookup tables built per system for that call.
+instructions read off `formula.operand_table` and runs them on lanes:
+one pass gives each formula's truth masks under up to 256 valuations.
 """
 
 from __future__ import annotations
@@ -207,54 +207,55 @@ def closure(X: FiniteSystem, members) -> frozenset[str]:
     return X.names_of(full & ~_interior_mask(X, full & ~X.mask_of(members)))
 
 
-def _preimage(X: FiniteSystem, mask: int) -> int:
+class _Lanes:
+    """The mask operations of one system on a block of `width` lanes.
+
+    Lane v of an n-point system is bits v·n to v·n+n−1 of a register, so
+    `&` and `|` act on every lane at once; `low` is bit 0 of every lane,
+    `point` lane 0 whole and `full` every lane.  `image` and `cone` map
+    each distance j − i to the bits j that preimage (j = f(i)) and
+    interior (j strictly below i) move to bit i, one shift per distance.
+    `cone` is built on first use, since only implications read it."""
+
+    __slots__ = ("down", "n", "width", "point", "low", "full", "image", "_cone")
+
+    def __init__(self, X: FiniteSystem, width: int):
+        self.down = X.poset.down
+        n = self.n = len(self.down)
+        self.width, self.point = width, (1 << n) - 1
+        low = self.low = ((1 << n * width) - 1) // self.point if n else 0
+        self.full = low * self.point
+        self.image = image = {}
+        for i, y in enumerate(X.f):
+            image[y - i] = image.get(y - i, 0) | low << y
+        self._cone = None
+
+    @property
+    def cone(self) -> dict[int, int]:
+        if self._cone is None:
+            cone = self._cone = {}
+            for i, below in enumerate(self.down):
+                below ^= 1 << i
+                while below:
+                    j = below.bit_length() - 1
+                    cone[j - i] = cone.get(j - i, 0) | self.low << j
+                    below ^= 1 << j
+        return self._cone
+
+    def some(self, mask: int) -> int:
+        """The lanes where the mask is not empty, each filled whole."""
+        hit = 0
+        for j in range(self.n):
+            hit |= mask >> j
+        return (hit & self.low) * self.point
+
+
+def _moved(mask: int, moves: dict[int, int]) -> int:
+    """The mask with the moves of a distance table applied."""
     out = 0
-    for i, y in enumerate(X.f):
-        if mask >> y & 1:
-            out |= 1 << i
+    for d, source in moves.items():
+        out |= (mask & source) >> d if d >= 0 else (mask & source) << -d
     return out
-
-
-class _Memo(dict):
-    """A function of masks, tabulated on first use of each argument."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, mask: int) -> int:
-        value = self[mask] = self.fn(mask)
-        return value
-
-
-class _Tables:
-    """The mask operations of one system, tabulated for one call:
-    interior, map preimage, and the fixpoints of eventually (least, of
-    m | pre(m)) and henceforth (greatest, of m & pre(m)).  Entries are
-    filled in as masks come up, so a large system never tabulates all of
-    its subsets."""
-
-    def __init__(self, X: FiniteSystem):
-        self.full = X.full_mask()
-        self.interior = _Memo(lambda m: _interior_mask(X, m))
-        preimage = self.preimage = _Memo(lambda m: _preimage(X, m))
-
-        def least(mask: int) -> int:
-            out = mask
-            while (grown := out | preimage[out]) != out:
-                out = grown
-            return out
-
-        def greatest(mask: int) -> int:
-            out = mask
-            while (shrunk := mask & preimage[out]) != out:
-                out = shrunk
-            return out
-
-        self.eventually = _Memo(least)
-        self.henceforth = _Memo(greatest)
 
 
 #: The node types _evaluate_mask knows; _compile refuses any other.
@@ -282,15 +283,18 @@ def _atoms(program: _Program) -> list[str]:
     return sorted({a for _, op, a, _ in program if op is Atom})
 
 
-def _evaluate_mask(tables: _Tables, valuation: dict[str, int], program: _Program,
+def _evaluate_mask(lanes: _Lanes, valuation: dict[str, int], program: _Program,
                    cache: dict[int, int]) -> int:
-    """Truth mask of a compiled formula on the system of the tables, under
-    one valuation of its atoms to open masks; cache is the register file,
-    fresh for each call."""
-    full = tables.full
+    """Truth masks of a compiled formula in every lane of a block, each
+    lane under its own valuation: valuation maps each atom to its open
+    masks, one per lane.  cache is the register file, fresh for each
+    call.  The quantifiers test each lane whole and fill it with the
+    answer."""
+    full, image = lanes.full, lanes.image
     for i, op, a, b in program:  # most frequent node types first
-        if op is Implies:
-            out = tables.interior[(full & ~cache[a]) | cache[b]]
+        if op is Implies:  # no point of the cone where a holds and b does not
+            gap = cache[a] & ~cache[b]
+            out = full ^ (gap | _moved(gap, lanes.cone))
         elif op is Atom:
             out = valuation[a]
         elif op is And:
@@ -298,15 +302,19 @@ def _evaluate_mask(tables: _Tables, valuation: dict[str, int], program: _Program
         elif op is Or:
             out = cache[a] | cache[b]
         elif op is Next:
-            out = tables.preimage[cache[a]]
-        elif op is Eventually:
-            out = tables.eventually[cache[a]]
-        elif op is Henceforth:
-            out = tables.henceforth[cache[a]]
+            out = _moved(cache[a], image)
+        elif op is Eventually:  # least fixpoint of m | pre(m)
+            out = cache[a]
+            while (grown := out | _moved(out, image)) != out:
+                out = grown
+        elif op is Henceforth:  # greatest fixpoint of m & pre(m)
+            out = body = cache[a]
+            while (shrunk := body & _moved(out, image)) != out:
+                out = shrunk
         elif op is Forall:
-            out = full if cache[a] == full else 0
+            out = full ^ lanes.some(full ^ cache[a])
         elif op is Exists:
-            out = full if cache[a] else 0
+            out = lanes.some(cache[a])
         else:  # bottom
             out = 0
         cache[i] = out
@@ -325,14 +333,15 @@ def _valuation_masks(X: FiniteSystem, valuation) -> dict[str, int]:
 
 def truth_masks(X: FiniteSystem, valuation, formulas) -> dict[int, int]:
     """The register file of one run over formulas listed after their
-    operands: register i holds the truth mask of formulas[i] on X."""
+    operands, on a single lane: register i holds the truth mask of
+    formulas[i] on X."""
     masks = _valuation_masks(X, valuation)
     program = _compile(formulas)
     for atom in _atoms(program):
         if atom not in masks:
             raise KeyError(f"no valuation for atom {atom!r}")
     registers: dict[int, int] = {}
-    _evaluate_mask(_Tables(X), masks, program, registers)
+    _evaluate_mask(_Lanes(X, 1), masks, program, registers)
     return registers
 
 
@@ -343,7 +352,7 @@ def evaluate(X: FiniteSystem, valuation, f: Formula) -> frozenset[str]:
     map preimage, eventually and henceforth are the least and greatest
     fixpoints of their unfoldings, and the quantifiers compare against
     the whole space.  Read off the last register of `truth_masks` over
-    the subformulas.
+    the subformulas, the same evaluator the valuation searches run.
     """
     registers = truth_masks(X, valuation, subformulas(f))
     return X.names_of(registers[len(registers) - 1])
@@ -353,10 +362,13 @@ def open_masks(X: FiniteSystem) -> list[int]:
     """All downward closed subsets, ascending as bitmasks.  Points are
     added in order of cone size, each to every set that already holds the
     rest of its cone."""
-    opens = [0]
-    for i in sorted(range(len(X)), key=lambda i: X.down[i].bit_count()):
-        opens += [m | 1 << i for m in opens if X.down[i] & ~m == 1 << i]
+    down, opens = X.poset.down, [0]
+    for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
+        opens += [m | 1 << i for m in opens if down[i] & ~m == 1 << i]
     return sorted(opens)
+
+
+_BLOCK = 256  # the most valuations one evaluator pass tries
 
 
 def _falsifying(X: FiniteSystem, program: _Program, atoms: list[str], caps: Caps,
@@ -364,17 +376,41 @@ def _falsifying(X: FiniteSystem, program: _Program, atoms: list[str], caps: Caps
     """The first valuation of the atoms to opens, in product order, that
     falsifies the compiled formula somewhere, with its truth mask, or None.
     Raises CapExceeded before trying any if there are more than
-    caps.max_valuations; checks the deadline under what."""
+    caps.max_valuations.
+
+    The valuations are tried in blocks of at most _BLOCK consecutive ones,
+    one lane each, checking the deadline under what before each block.  In
+    a block the last atoms take every combination of opens, the atom before
+    them a run of opens, and the rest one open each, spread to every lane.
+    The hit is the lowest failing lane of the first failing block."""
     opens = open_masks(X)
     total = len(opens) ** len(atoms)
     if total > caps.max_valuations:
         raise CapExceeded(f"{total} valuations exceed the cap")
-    tables = _Tables(X)
-    for combo in deadline.every(itertools.product(opens, repeat=len(atoms)), what):
-        valuation = dict(zip(atoms, combo))
-        truth = _evaluate_mask(tables, valuation, program, {})
-        if truth != tables.full:
-            return valuation, truth
+    low = 0
+    while low < len(atoms) and len(opens) ** (low + 1) <= _BLOCK:
+        low += 1
+    shapes = [[opens] * low]
+    if low < len(atoms):
+        step = _BLOCK // len(opens) ** low
+        shapes = [[opens[d:d + step]] + shapes[0] for d in range(0, len(opens), step)]
+    varied = atoms[len(atoms) - len(shapes[0]):]
+    blocks = []  # (lanes, the varied atoms' masks in lanes) per shape
+    for choices in shapes:
+        combos = list(itertools.product(*choices))
+        lanes = _Lanes(X, len(combos))
+        blocks.append((lanes, {a: sum(m << v * lanes.n for v, m in enumerate(column))
+                               for a, column in zip(varied, zip(*combos))}))
+    fixed = atoms[:len(atoms) - len(varied)]
+    for combo in itertools.product(opens, repeat=len(fixed)):
+        for lanes, packed in blocks:
+            deadline.check(what)
+            valuation = {a: m * lanes.low for a, m in zip(fixed, combo)} | packed
+            truth = _evaluate_mask(lanes, valuation, program, {})
+            if missing := truth ^ lanes.full:
+                shift = ((missing & -missing).bit_length() - 1) // lanes.n * lanes.n
+                return ({a: valuation[a] >> shift & lanes.point for a in atoms},
+                        truth >> shift & lanes.point)
     return None
 
 

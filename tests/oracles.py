@@ -7,7 +7,7 @@ can disagree.
 import itertools
 
 from itlc.alexandroff import (Countermodel, FinitePoset, FiniteSystem, _atoms, _compile,
-                              _evaluate_mask, _systems, _Tables, interior, open_masks)
+                              _evaluate_mask, _Lanes, _systems, interior, open_masks)
 from itlc.config import DEFAULT_CAPS
 from itlc.errors import CapExceeded, ItlcError, SchemaError
 from itlc.formula import (BOT, And, Atom, Bottom, Eventually, Exists, Forall, Henceforth,
@@ -407,11 +407,11 @@ def reference_countermodel(f, max_points, caps=DEFAULT_CAPS):
             if examined > caps.max_systems:
                 raise CapExceeded(f"countermodel search passed {caps.max_systems} systems")
             deadline.check("countermodel search")
-            tables = _Tables(X)
+            lanes = _Lanes(X, 1)
             for combo in itertools.product(open_masks(X), repeat=len(atoms)):
                 valuation = dict(zip(atoms, combo))
-                truth = _evaluate_mask(tables, valuation, program, {})
-                if truth != tables.full:
+                truth = _evaluate_mask(lanes, valuation, program, {})
+                if truth != lanes.full:
                     point = next(X.names[i] for i in range(n) if not truth >> i & 1)
                     named = {a: X.names_of(m) for a, m in valuation.items()}
                     return Countermodel(X, named, point)

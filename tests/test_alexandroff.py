@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import math
 import random
@@ -15,8 +17,8 @@ from itlc.alexandroff import (Analysis, FinitePoset, FiniteSystem, _posets, anal
                               find_countermodel, interior, is_valid_on_system,
                               monotone_maps, open_masks, random_system, system,
                               system_from_json, system_to_json)
-from itlc.config import Deadline
-from itlc.formula import And, Formula, parse
+from itlc.config import NO_DEADLINE, Deadline
+from itlc.formula import And, Atom, Forall, Formula, Implies, parse, subformulas
 
 from oracles import (brute_monotone_maps, brute_open_masks, brute_posets,
                      reference_countermodel, truth_oracle)
@@ -207,9 +209,9 @@ def test_valuation_searches_check_the_deadline_every_256(monkeypatch):
 
     evaluate_mask = alexandroff._evaluate_mask
 
-    def counted(*args):
-        gaps[-1] += 1
-        return evaluate_mask(*args)
+    def counted(lanes, *args):  # one valuation per lane of the block
+        gaps[-1] += lanes.width
+        return evaluate_mask(lanes, *args)
 
     monkeypatch.setattr(alexandroff, "_evaluate_mask", counted)
     monkeypatch.setattr(itlc.Caps, "deadline", lambda caps: Stub())
@@ -219,6 +221,55 @@ def test_valuation_searches_check_the_deadline_every_256(monkeypatch):
     gaps[:] = [0]
     assert find_countermodel(f, 3) is None
     assert sum(gaps) > 8 ** 4 and max(gaps) <= 256
+
+
+def _first_hit_by_oracle(X, f, atoms):
+    """The first valuation of the atoms to opens, in product order, whose
+    truth set under `truth_oracle` misses a point, as masks with that
+    truth mask, or None; and how many valuations were tried."""
+    everything = X.full_mask()
+    tried = 0
+    for combo in itertools.product(open_masks(X), repeat=len(atoms)):
+        tried += 1
+        truth = X.mask_of(truth_oracle(X, {a: X.names_of(m) for a, m in zip(atoms, combo)}, f))
+        if truth != everything:
+            return (dict(zip(atoms, combo)), truth), tried
+    return None, tried
+
+
+def test_block_searches_match_a_per_valuation_oracle():
+    # seeded systems of 1-7 points and formulas of 0-4 atoms.  A formula
+    # guarded by its first atom holds while that atom is empty, and one
+    # guarded by A of all its atoms holds until each is everything, the
+    # last open, so their first hits come late in product order, often
+    # past the first block of 256
+    rng = random.Random(83)
+    past_first_block = 0
+    for seed in range(200):
+        X = random_system(rng.randint(1, 7), seed)
+        atoms = tuple(f"p{i}" for i in range(rng.randint(0, 4)))
+        while len(open_masks(X)) ** len(atoms) > 5000:
+            atoms = atoms[:-1]
+        f = itlc.random_formula(rng, rng.choice((2, 3)), atoms)
+        if atoms:
+            every = Forall(functools.reduce(And, map(Atom, atoms)))
+            f = rng.choice((f, Implies(Atom(atoms[0]), f), Implies(every, f)))
+        program = alexandroff._compile(subformulas(f))
+        found = alexandroff._falsifying(X, program, alexandroff._atoms(program),
+                                        itlc.Caps(), NO_DEADLINE, "test")
+        expected, tried = _first_hit_by_oracle(X, f, alexandroff._atoms(program))
+        assert found == expected, (seed, str(f))
+        past_first_block += tried > 256
+        val = _random_valuation(rng, X, atoms)
+        assert evaluate(X, val, f) == truth_oracle(X, val, f), (seed, str(f))
+    assert past_first_block >= 15
+
+    for _ in range(40):
+        atoms = tuple(f"p{i}" for i in range(rng.randint(0, 4)))
+        f = itlc.random_formula(rng, 3, atoms)
+        if atoms and rng.random() < 0.3:
+            f = Implies(Atom(atoms[0]), f)
+        assert _outcome(find_countermodel, f, 3) == _outcome(reference_countermodel, f, 3), str(f)
 
 
 def test_countermodel_examples():

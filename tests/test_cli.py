@@ -297,8 +297,10 @@ def test_countermodel_honours_timeout(capsys):
 
 
 def test_valid_honours_timeout(capsys):
-    # 5 atoms over the fixture's opens: about a second without the timeout
-    assert run(["valid", FIXTURE, "p1 & p2 & p3 & p4 & p5 -> p1", "--timeout", "0.01"]) == 3
+    # 6 atoms over the fixture's 12 opens, 2,985,984 valuations: over a tenth
+    # of a second without the timeout, in blocks of 144 valuations
+    assert run(["valid", FIXTURE, "p1 & p2 & p3 & p4 & p5 & p6 -> p1",
+                "--max-valuations", "3000000", "--timeout", "0.01"]) == 3
     assert "timeout" in capsys.readouterr().err
 
 
