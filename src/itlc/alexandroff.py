@@ -207,6 +207,11 @@ def closure(X: FiniteSystem, members) -> frozenset[str]:
     return X.names_of(full & ~_interior_mask(X, full & ~X.mask_of(members)))
 
 
+def _ones(copies: int, period: int) -> int:
+    """copies one bits, period bits apart, the lowest at bit 0."""
+    return ((1 << period * copies) - 1) // ((1 << period) - 1) if period else 0
+
+
 class _Lanes:
     """The mask operations of one system on a block of `width` lanes.
 
@@ -214,33 +219,24 @@ class _Lanes:
     `&` and `|` act on every lane at once; `low` is bit 0 of every lane,
     `point` lane 0 whole and `full` every lane.  `image` and `cone` map
     each distance j − i to the bits j that preimage (j = f(i)) and
-    interior (j strictly below i) move to bit i, one shift per distance.
-    `cone` is built on first use, since only implications read it."""
+    interior (j strictly below i) move to bit i, one shift per distance."""
 
-    __slots__ = ("down", "n", "width", "point", "low", "full", "image", "_cone")
+    __slots__ = ("n", "width", "point", "low", "full", "image", "cone")
 
     def __init__(self, X: FiniteSystem, width: int):
-        self.down = X.poset.down
-        n = self.n = len(self.down)
+        n = self.n = len(X.f)
         self.width, self.point = width, (1 << n) - 1
-        low = self.low = ((1 << n * width) - 1) // self.point if n else 0
+        low = self.low = _ones(width, n)
         self.full = low * self.point
-        self.image = image = {}
+        self.image, self.cone = image, cone = {}, {}
         for i, y in enumerate(X.f):
             image[y - i] = image.get(y - i, 0) | low << y
-        self._cone = None
-
-    @property
-    def cone(self) -> dict[int, int]:
-        if self._cone is None:
-            cone = self._cone = {}
-            for i, below in enumerate(self.down):
-                below ^= 1 << i
-                while below:
-                    j = below.bit_length() - 1
-                    cone[j - i] = cone.get(j - i, 0) | self.low << j
-                    below ^= 1 << j
-        return self._cone
+        for i, below in enumerate(X.poset.down):
+            below ^= 1 << i
+            while below:
+                j = below.bit_length() - 1
+                cone[j - i] = cone.get(j - i, 0) | low << j
+                below ^= 1 << j
 
     def some(self, mask: int) -> int:
         """The lanes where the mask is not empty, each filled whole."""
@@ -286,10 +282,8 @@ def _atoms(program: _Program) -> list[str]:
 def _evaluate_mask(lanes: _Lanes, valuation: dict[str, int], program: _Program,
                    cache: dict[int, int]) -> int:
     """Truth masks of a compiled formula in every lane of a block, each
-    lane under its own valuation: valuation maps each atom to its open
-    masks, one per lane.  cache is the register file, fresh for each
-    call.  The quantifiers test each lane whole and fill it with the
-    answer."""
+    lane under its own valuation (each atom's open masks, one per lane);
+    cache is the register file, fresh for each call."""
     full, image = lanes.full, lanes.image
     for i, op, a, b in program:  # most frequent node types first
         if op is Implies:  # no point of the cone where a holds and b does not
@@ -333,8 +327,7 @@ def _valuation_masks(X: FiniteSystem, valuation) -> dict[str, int]:
 
 def truth_masks(X: FiniteSystem, valuation, formulas) -> dict[int, int]:
     """The register file of one run over formulas listed after their
-    operands, on a single lane: register i holds the truth mask of
-    formulas[i] on X."""
+    operands, on one lane: register i holds the truth mask of formulas[i]."""
     masks = _valuation_masks(X, valuation)
     program = _compile(formulas)
     for atom in _atoms(program):
@@ -371,6 +364,16 @@ def open_masks(X: FiniteSystem) -> list[int]:
 _BLOCK = 256  # the most valuations one evaluator pass tries
 
 
+def _stacked(packed: dict[str, int], width: int, n: int, atom: str,
+             choices: list[int]) -> dict[str, int]:
+    """Packed masks of width lanes, copied once per choice with atom taking
+    choice k in every lane of copy k: in product order, atom varies slowest."""
+    lane, copies = _ones(width, n), _ones(len(choices), width * n)
+    out = {b: m * copies for b, m in packed.items()}
+    out[atom] = sum(m * lane << k * width * n for k, m in enumerate(choices))
+    return out
+
+
 def _falsifying(X: FiniteSystem, program: _Program, atoms: list[str], caps: Caps,
                 deadline: Deadline, what: str) -> tuple[dict[str, int], int] | None:
     """The first valuation of the atoms to opens, in product order, that
@@ -387,28 +390,24 @@ def _falsifying(X: FiniteSystem, program: _Program, atoms: list[str], caps: Caps
     total = len(opens) ** len(atoms)
     if total > caps.max_valuations:
         raise CapExceeded(f"{total} valuations exceed the cap")
-    low = 0
-    while low < len(atoms) and len(opens) ** (low + 1) <= _BLOCK:
-        low += 1
-    shapes = [[opens] * low]
-    if low < len(atoms):
-        step = _BLOCK // len(opens) ** low
-        shapes = [[opens[d:d + step]] + shapes[0] for d in range(0, len(opens), step)]
-    varied = atoms[len(atoms) - len(shapes[0]):]
-    blocks = []  # (lanes, the varied atoms' masks in lanes) per shape
-    for choices in shapes:
-        combos = list(itertools.product(*choices))
-        lanes = _Lanes(X, len(combos))
-        blocks.append((lanes, {a: sum(m << v * lanes.n for v, m in enumerate(column))
-                               for a, column in zip(varied, zip(*combos))}))
-    fixed = atoms[:len(atoms) - len(varied)]
-    for combo in itertools.product(opens, repeat=len(fixed)):
-        for lanes, packed in blocks:
+    n, split, width, packed = len(X.f), len(atoms), 1, {}
+    while split and width * len(opens) <= _BLOCK:
+        split -= 1
+        packed, width = _stacked(packed, width, n, atoms[split], opens), width * len(opens)
+    blocks = [(width, packed)]  # (width, the varied atoms' masks) per run of opens
+    if split:
+        split, step = split - 1, _BLOCK // width
+        blocks = [(width * len(run), _stacked(packed, width, n, atoms[split], run))
+                  for run in (opens[d:d + step] for d in range(0, len(opens), step))]
+    lanes_of = {w: _Lanes(X, w) for w in {w for w, _ in blocks}}
+    for combo in itertools.product(opens, repeat=split):
+        for w, packed in blocks:
             deadline.check(what)
-            valuation = {a: m * lanes.low for a, m in zip(fixed, combo)} | packed
+            lanes = lanes_of[w]
+            valuation = {a: m * lanes.low for a, m in zip(atoms, combo)} | packed
             truth = _evaluate_mask(lanes, valuation, program, {})
             if missing := truth ^ lanes.full:
-                shift = ((missing & -missing).bit_length() - 1) // lanes.n * lanes.n
+                shift = ((missing & -missing).bit_length() - 1) // n * n
                 return ({a: valuation[a] >> shift & lanes.point for a in atoms},
                         truth >> shift & lanes.point)
     return None
